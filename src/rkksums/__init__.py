@@ -1,9 +1,10 @@
 """Exact verification of congruences for sums of binom(rk,k) x^k / k^d.
 
 The package evaluates both sides of each congruence independently: brute
-force summation on the left, root sums over Hensel-lifted factorizations
-and finite-polylogarithm constants on the right, all in exact arithmetic
-modulo p, p^2 or p^3.
+force summation on the left; on the right, traces and characteristic
+polynomials in one algebra Z/p^e[c]/(f) over the unfactored root
+polynomial f, finite-polylogarithm traces from a linear recurrence, and
+special constants, all in exact arithmetic modulo p, p^2 or p^3.
 """
 
 from ._accel import engine

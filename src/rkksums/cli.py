@@ -1,10 +1,12 @@
 """Command-line harness: sweep checkers over (r, p, x) grids and emit reports.
 
 Exit codes: 0 when every executed check passes (skips allowed), 1 when any
-check fails, 2 on configuration errors.
+check fails, 2 on configuration errors and on inputs the package refuses
+(such as a modulus p^e beyond the int64-safe bound).
 """
 
 import argparse
+import os
 import random
 import sys
 import time
@@ -19,7 +21,7 @@ from .finlog import check_functional_equations
 from .modring import as_rational
 from .polyfactor import Degeneracy, classify_residue
 from .primes import odd_primes_in
-from .report import FAIL, PASS, CongruenceReport, RunSummary, emit_report
+from .report import FAIL, PASS, SKIP, CongruenceReport, RunSummary, emit_report
 from .seriesid import (
     check_differentiation_ladder,
     check_identities,
@@ -70,6 +72,12 @@ CHECKERS = {
     "fe": (PER_P, None),
     "series": (EXACT, None),
     "identities": (EXACT, None),
+}
+
+# per-(r, p) tags stated mod p^2; the rest are stated mod p
+MOD_P2_TAGS = {
+    "rkksuk_z", "rkksuk_long", "lemma_technical", "mystery", "rkksukmod2",
+    "rkkmod2", "rkkmod2_var", "rkkmod2_multiple",
 }
 
 DEFAULT_THEOREMS = [
@@ -155,6 +163,15 @@ def _identity_reports(config):
     return out
 
 
+def _p_not_above_r(tag, r, p):
+    """The skip row for a per-(r, p) tag at a prime p <= r, outside every scope."""
+    e = 2 if tag in MOD_P2_TAGS else 1
+    return CongruenceReport(
+        theorem=tag, r=r, p=p, e=e, x=None, lhs=None, rhs=None,
+        modulus=p ** e, verdict=SKIP, reason="RequiresPGreaterThanR",
+    )
+
+
 def build_tasks(config):
     """The flat list of independent callables the run executes."""
     tasks = []
@@ -186,6 +203,7 @@ def build_tasks(config):
             for r in config.r_values:
                 for p in config.primes:
                     if p <= r:
+                        tasks.append(lambda t=tag, r=r, p=p: _p_not_above_r(t, r, p))
                         continue
                     tasks.append(lambda r=r, p=p, f=fn: f(r, p))
         elif mode == PER_PX:
@@ -196,6 +214,7 @@ def build_tasks(config):
             for r in config.r_values:
                 for p in config.primes:
                     if p <= r:
+                        tasks.append(lambda t=tag, r=r, p=p: _p_not_above_r(t, r, p))
                         continue
                     for x in draw_x_values(config, tag, r, p):
                         tasks.append(lambda r=r, p=p, x=x, f=fn: f(r, p, x))
@@ -254,6 +273,14 @@ def build_parser():
     return parser
 
 
+def available_cpus():
+    """CPUs this process may run on; --jobs is capped at this many threads."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
 def config_from_args(args):
     try:
         r_values = [int(v) for v in args.r.split(",") if v.strip()]
@@ -270,7 +297,7 @@ def config_from_args(args):
             identity_n=args.identity_n,
             fmt=args.format,
             out=args.out,
-            jobs=max(args.jobs, 1),
+            jobs=min(max(args.jobs, 1), available_cpus()),
         )
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(str(exc)) from exc

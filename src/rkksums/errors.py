@@ -47,3 +47,7 @@ class DivisibilityFailure(RkksumsError):
 
 class ConfigError(RkksumsError):
     """Invalid run configuration."""
+
+
+class ModulusTooLarge(RkksumsError, ValueError):
+    """p^e exceeds the largest modulus the int64 kernels can carry."""

@@ -2,13 +2,16 @@
 
 pounds(s, u) is the truncated series sum_{k=1}^{p-1} u^k / k^s; the orders
 actually used are s = 0 (a rational function), s = 1 (truncated logarithm)
-and s = 2 (finite dilogarithm).  The constants gathered here - Fermat
+and s = 2 (finite dilogarithm).  Root sums only ever need the trace of a
+ring polylog, which trace_pounds computes from a linear recurrence without
+forming the polylog itself.  The constants gathered here - Fermat
 quotients, Euler and Bernoulli numbers, the Lucas quotient and Legendre
 symbols - are what the closed-form numerical congruences evaluate to.
 """
 
 import functools
 import math
+import operator
 import random
 import time
 from dataclasses import dataclass
@@ -53,6 +56,26 @@ def pounds(s, u):
         w = _weights(ctx.p, ctx.e, s)
         return u.ring.weighted_powers(u, w)
     raise TypeError(f"cannot evaluate pounds on {type(u).__name__}")
+
+
+@functools.lru_cache(maxsize=None)
+def _weight_ints(p, e, s):
+    return tuple(int(v) for v in _weights(p, e, s))
+
+
+def trace_pounds(s, u, v=None):
+    """Tr(v * pounds_s(u)) for ring elements u and v (v = 1 when None).
+
+    sum_k k^-s Tr(v u^k) over the traces from GaloisRing.power_traces, which
+    follow the linear recurrence of u's characteristic polynomial: no ring
+    element is built per k.  Returns an int mod p^e.
+    """
+    if s not in ORDERS:
+        raise ValueError(f"unsupported polylog order {s}")
+    ring = u.ring
+    p, e = ring.ctx.p, ring.ctx.e
+    t = ring.power_traces(u, p - 1, v)
+    return sum(map(operator.mul, _weight_ints(p, e, s), t[1:])) % ring.ctx.modulus
 
 
 def fermat_quotient(x, p, out_precision=1):

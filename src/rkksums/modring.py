@@ -1,23 +1,25 @@
 """Exact arithmetic in Z/p^e and in quotient rings Z/p^e[c]/(g).
 
-The quotient rings are unramified extensions (g is a monic lift of an
-irreducible polynomial over F_p), so an element is a unit exactly when its
-image mod p is nonzero in the residue field.  Sums and elementary symmetric
-functions over the roots of g are reached through traces and characteristic
-polynomials of multiplication operators; the roots themselves are never
-enumerated.
+The quotient rings are built on a monic g that is squarefree mod p, such as
+the unfactored root polynomial.  Such a ring is the product of the Galois
+rings of g's lifted irreducible factors, so the trace of multiplication by
+F(c) is the sum of F over all roots of g and its characteristic polynomial
+is the product of the per-factor ones: how g factors never has to be known.
+An element is a unit exactly when it is coprime to g mod p.  The roots
+themselves are never enumerated.
 
 All values are immutable after construction and all operations are pure, so
 contexts, rings and elements can be shared freely across workers.
 """
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import _gfpoly, kernels
-from .errors import DenominatorNotUnit, NotAUnit
+from .errors import DenominatorNotUnit, ModulusTooLarge, NotAUnit
 from .primes import is_prime
 
 # Largest modulus M with M*(M+1) < 2**63: products of reduced residues and
@@ -55,7 +57,7 @@ class ModulusCtx:
         if self.p < 3 or self.p % 2 == 0 or not is_prime(self.p):
             raise ValueError(f"{self.p} is not an odd prime")
         if self.p ** self.e > MAX_MODULUS:
-            raise ValueError(
+            raise ModulusTooLarge(
                 f"p^e = {self.p ** self.e} exceeds the overflow-safe "
                 f"modulus bound {MAX_MODULUS}"
             )
@@ -201,11 +203,42 @@ class MonicPoly:
         return MonicPoly(tuple(out), self.ctx)
 
 
+def power_sums(poly, count, m):
+    """Power sums P_0..P_count of the roots of a monic polynomial, mod m.
+
+    poly lists coefficients lowest degree first.  Newton's identities need
+    no division, and past the degree they are the polynomial's own linear
+    recurrence P_k = -sum_i a_i P_(k-n+i).
+    """
+    n = len(poly) - 1
+    head = [n % m]
+    for k in range(1, min(n, count + 1)):
+        acc = k * poly[n - k] + sum(poly[n - i] * head[k - i] for i in range(1, k))
+        head.append(-acc % m)
+    return extend_recurrence(poly, head, count, m)
+
+
+def extend_recurrence(poly, head, count, m):
+    """t_0..t_count of t_k = -sum_i a_i t_(k-n+i), n = deg(poly), mod m.
+
+    head holds t_0..t_(n-1).  Every Tr(v u^k) obeys this recurrence when
+    poly is u's characteristic polynomial (Cayley-Hamilton).
+    """
+    n = len(poly) - 1
+    step = [-a % m for a in poly[:n]]
+    t = list(head)
+    for k in range(n, count + 1):
+        t.append(sum(map(operator.mul, step, t[k - n:k])) % m)
+    return t[:count + 1]
+
+
 class GaloisRing:
-    """The quotient Z/p^e[c]/(g) for a monic g irreducible mod p.
+    """The quotient Z/p^e[c]/(g) for a monic g squarefree mod p.
 
     Elements are coefficient vectors of length deg(g); the class of c is the
     image of every root of g, so Tr(F(c)) is the sum of F over those roots.
+    When g is irreducible mod p this is a Galois ring; otherwise it is the
+    product of the Galois rings of g's lifted factors.
     """
 
     def __init__(self, modpoly):
@@ -218,6 +251,8 @@ class GaloisRing:
             [pow(k, -1, self.ctx.modulus) for k in range(1, self.degree + 1)],
             dtype=np.int64,
         )
+        # Tr(c^i) for i < deg(g), dotted with coefficient vectors in power_traces
+        self._gen_traces = power_sums(modpoly.coeffs, self.degree - 1, self.ctx.modulus)
 
     def elt(self, coeffs):
         m = self.ctx.modulus
@@ -274,16 +309,72 @@ class GaloisRing:
             int(kernels.trace_mult(a.coeffs, self._g, self.ctx.modulus)), self.ctx
         )
 
+    def _affine(self, a):
+        """(a0, b) when a = a0 + b*c, else None."""
+        if self.degree == 1:
+            return int(a.coeffs[0]), 0
+        if a.coeffs[2:].any():
+            return None
+        return int(a.coeffs[0]), int(a.coeffs[1])
+
     def charpoly(self, a):
         """Characteristic polynomial of multiplication by a.
 
         Its coefficients are the signed elementary symmetric functions of a
-        evaluated at the roots of g.  Faddeev-LeVerrier divides only by
-        1..deg(g), all units mod p^e since deg(g) < p.
+        evaluated at the roots of g.  For a = a0 + b*c it is
+        sum_j g_j b^(n-j) (T - a0)^j, straight from g; otherwise
+        Faddeev-LeVerrier, which divides only by 1..deg(g), all units mod
+        p^e since deg(g) < p.
         """
-        mat = kernels.mult_matrix(a.coeffs, self._g, self.ctx.modulus)
-        coeffs = kernels.fl_charpoly(mat, self._fl_inverses, self.ctx.modulus)
-        return MonicPoly(tuple(int(v) for v in coeffs), self.ctx)
+        m = self.ctx.modulus
+        affine = self._affine(a)
+        if affine is None:
+            mat = kernels.mult_matrix(a.coeffs, self._g, m)
+            coeffs = kernels.fl_charpoly(mat, self._fl_inverses, m)
+            return MonicPoly(tuple(int(v) for v in coeffs), self.ctx)
+        if affine == (0, 1):
+            return self.modpoly
+        a0, b = affine
+        coeffs = [0] * (self.degree + 1)
+        shift = [1]  # (T - a0)^j
+        for j, gj in enumerate(self.modpoly.coeffs):
+            scale = gj * pow(b, self.degree - j, m)
+            for i, si in enumerate(shift):
+                coeffs[i] = (coeffs[i] + scale * si) % m
+            shift = [(lo - a0 * hi) % m for lo, hi in zip([0] + shift, shift + [0])]
+        return MonicPoly(tuple(coeffs), self.ctx)
+
+    def power_traces(self, u, count, v=None):
+        """[Tr(v u^k) for k = 0..count], v = 1 when None.
+
+        The sequence obeys the linear recurrence of u's characteristic
+        polynomial, so only its first deg(g) terms need more than integer
+        arithmetic: none when v = 1 (Newton's power sums), a shift-and-reduce
+        step each when u = a0 + b*c, and a ring product each otherwise.
+        """
+        m, n = self.ctx.modulus, self.degree
+        chi = self.charpoly(u).coeffs
+        if v is None:
+            return power_sums(chi, count, m)
+        affine = self._affine(u)
+        head = []
+        if affine is None:
+            term = v
+            for _ in range(n):
+                head.append(int(self.trace(term)))
+                term = term * u
+        else:
+            a0, b = affine
+            g = self.modpoly.coeffs
+            gen_traces = self._gen_traces
+            term = v.coeffs.tolist()
+            for _ in range(n):
+                head.append(sum(map(operator.mul, term, gen_traces)) % m)
+                # (a0 + b c) * term, with c^n = -sum_i g_i c^i
+                top = term[-1]
+                term = [(a0 * t + b * (lo - top * gi)) % m
+                        for t, lo, gi in zip(term, [0] + term[:-1], g)]
+        return extend_recurrence(chi, head, count, m)
 
     def weighted_powers(self, a, weights):
         """sum_k weights[k-1] * a^k; the workhorse behind finite polylogarithms."""
@@ -366,22 +457,3 @@ class GaloisElt:
     def __repr__(self):
         return f"GaloisElt({list(self.coeffs)} in {self.ring!r})"
 
-
-def galois_mul(a, b):
-    return a * b
-
-
-def galois_inv(a):
-    return a.inverse()
-
-
-def galois_pow(a, n):
-    return a ** n
-
-
-def mult_trace(a):
-    return a.trace()
-
-
-def mult_charpoly(a):
-    return a.ring.charpoly(a)

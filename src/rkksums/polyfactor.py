@@ -3,9 +3,12 @@
 For parameters (r, x) the monic root polynomial is (c-1)^r + x^-1 * c^(r-1),
 whose roots c_1..c_r carry every right-hand side in the theorems module.
 Nondegenerate x (x != 0 and r^r*x != (r-1)^(r-1) mod p) guarantees the
-polynomial is squarefree mod p, so its factorization into irreducibles lifts
-uniquely to Z/p^e.  The double-root value x0 = (r-1)^(r-1)/r^r takes a
-separate path that divides out the rational double root 1-r exactly.
+polynomial is squarefree mod p, so the theorems work in its unfactored
+quotient ring.  The double-root value x0 = (r-1)^(r-1)/r^r takes a separate
+path that divides out the rational double root 1-r exactly.
+
+The factorization over F_p and its Hensel lift are not on that path: they
+are kept as the independent per-factor reference the tests compare with.
 """
 
 import enum
@@ -51,12 +54,6 @@ class FactorSet:
     multiplicities: tuple
     degenerate: bool
     ctx: ModulusCtx
-
-    @property
-    def total_degree(self):
-        return sum(
-            f.degree * m for f, m in zip(self.factors, self.multiplicities)
-        )
 
     def reduce(self, e):
         return FactorSet(
@@ -270,11 +267,11 @@ def _synthetic_div(coeffs, root, m):
     return quot, rem
 
 
-def split_double_root(r, p, e, rng=None):
-    """Handle x = x0: peel off the double root 1-r, factor the cofactor.
+def double_root_cofactor(r, p, e):
+    """Handle x = x0: peel off the double root 1-r from the root polynomial.
 
-    Returns (double_root mod p^e, cofactor FactorSet); the cofactor's roots
-    are simple and distinct from 1-r, so the generic pipeline applies to it.
+    Returns (double_root mod p^e, cofactor MonicPoly); the cofactor's roots
+    are simple and distinct from 1-r, and for r = 2 it is the constant 1.
     """
     if r < 2:
         raise ValueError("the double-root case needs r >= 2")
@@ -290,12 +287,18 @@ def split_double_root(r, p, e, rng=None):
     quot2, rem2 = _synthetic_div(quot, root, m)
     if rem2 != 0:
         raise DegenerateDivisionFailure(f"second division remainder {rem2} != 0")
-    if r == 2:
-        cof = FactorSet((), (), True, ctx)
-        return root, cof
     cofactor = MonicPoly(tuple(quot2), ctx)
     if _gfpoly.evaluate([ci % p for ci in cofactor.coeffs], root % p, p) == 0:
         raise DegenerateDivisionFailure("double root persists in the cofactor")
+    return root, cofactor
+
+
+def split_double_root(r, p, e, rng=None):
+    """The double root and the factored cofactor, as a FactorSet."""
+    root, cofactor = double_root_cofactor(r, p, e)
+    ctx = cofactor.ctx
+    if cofactor.degree == 0:
+        return root, FactorSet((), (), True, ctx)
     fs1 = factor_mod_p(cofactor.reduce(1), rng)
     lifted = hensel_lift(fs1, cofactor, e)
     return root, FactorSet(lifted.factors, lifted.multiplicities, True, ctx)

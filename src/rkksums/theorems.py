@@ -1,11 +1,12 @@
 """One checker per congruence family.
 
 Each checker computes its left-hand side by brute-force summation
-(binomsums) and its right-hand side independently through root sums
-realized as traces over the Hensel-lifted factorization (modring,
-polyfactor) and through special constants (finlog).  A verdict is an exact
-equality of residues; inputs outside a theorem's scope produce skip rows
-rather than failures.
+(binomsums) and its right-hand side independently through root sums and
+special constants (finlog).  Every root sum is symmetric in all roots of the
+root polynomial, so it is a trace or characteristic polynomial in one
+algebra, Z/p^e[c]/(f) on the unfactored f (modring); the polylog sums come
+from finlog.trace_pounds.  A verdict is an exact equality of residues;
+inputs outside a theorem's scope produce skip rows rather than failures.
 """
 
 import functools
@@ -17,39 +18,46 @@ from fractions import Fraction
 from . import _gfpoly
 from .binomsums import full_range, lhs_sum, range_A_star, short_range
 from .errors import DenominatorNotUnit, NonUnitDenominator, NotAUnit
-from .finlog import constants_table, pounds
+from .finlog import constants_table, pounds, trace_pounds
 from .modring import GaloisRing, ModulusCtx, ResidueInt, as_rational, residue_from_rational
 from .polyfactor import (
     Degeneracy,
+    RootPolySpec,
+    build_root_poly,
     classify_residue,
     classify_x,
-    root_factor_set,
-    split_double_root,
+    double_root_cofactor,
     x0_value,
 )
 from .report import FAIL, SKIP, CongruenceReport, verdict_of
 
 
-def _factor_rng(r, x, p):
-    # deterministic per parameter set so factor orbits agree across precisions
-    return random.Random(f"factor|{r}|{x.numerator}|{x.denominator}|{p}")
-
-
 @functools.lru_cache(maxsize=512)
 def _factor_rings(r, x, p, e):
-    ctx = ModulusCtx(p, e)
-    fs = root_factor_set(r, x, ctx, _factor_rng(r, x, p))
-    return tuple(GaloisRing(f) for f in fs.factors)
+    """The algebra of the unfactored root polynomial, as a one-ring tuple.
+
+    f is squarefree mod p for nondegenerate x, so this one ring is the
+    product of the Galois rings of f's lifted factors: its trace is the sum
+    over all roots and its characteristic polynomial the product.
+    """
+    f = build_root_poly(RootPolySpec(r, x, ModulusCtx(p, e)))
+    return (GaloisRing(f),)
 
 
 @functools.lru_cache(maxsize=256)
 def _cofactor_rings(r, p, e):
-    root, cof = split_double_root(r, p, e, random.Random(f"cof|{r}|{p}"))
-    return root, tuple(GaloisRing(f) for f in cof.factors)
+    root, cofactor = double_root_cofactor(r, p, e)
+    return root, (GaloisRing(cofactor),) if cofactor.degree else ()
 
 
 class RootSums:
-    """Cached trace aggregates over the full factor set of (r, x) at p^e."""
+    """Cached trace aggregates over all roots of (r, x) at p^e.
+
+    A sum that needs only Tr(v u^p) for u in {c, 1-c} takes it from
+    GaloisRing.power_traces, the linear recurrence of u's characteristic
+    polynomial; a p-th power is formed only where it must be inverted or
+    its base is not affine in c.
+    """
 
     def __init__(self, r, x, p, e):
         self.r = r
@@ -58,127 +66,123 @@ class RootSums:
         self.e = e
         self.ctx = ModulusCtx(p, e)
         self.rings = _factor_rings(r, x, p, e)
+        (self.ring,) = self.rings
 
     def trace_sum(self, build):
         m = self.ctx.modulus
         return sum(int(build(ring).trace()) for ring in self.rings) % m
 
+    def _trace_pow_p(self, u, v=None):
+        """Tr(v u^p)."""
+        return self.ring.power_traces(u, self.p, v)[self.p]
+
+    @functools.cached_property
+    def _c(self):
+        return self.ring.gen()
+
+    @functools.cached_property
+    def _one_minus_c(self):
+        return self.ring.one() - self._c
+
+    @functools.cached_property
+    def _c_pow_p(self):
+        return self._c ** self.p
+
+    @functools.cached_property
+    def _inv_c_pow_p(self):
+        return self._c.inverse() ** self.p
+
+    @functools.cached_property
+    def _inv_one_minus_c_pow_p(self):
+        return self._one_minus_c.inverse() ** self.p
+
+    @functools.cached_property
+    def _inv_shift(self):
+        """(r - 1 + c)^-1."""
+        return (self.ring.scalar(self.r - 1) + self._c).inverse()
+
     @functools.cached_property
     def sum_c_pow_p(self):
-        return self.trace_sum(lambda R: R.gen() ** self.p)
+        return self._trace_pow_p(self._c)
 
     @functools.cached_property
     def sum_one_minus_c_pow_p(self):
-        return self.trace_sum(lambda R: (R.one() - R.gen()) ** self.p)
+        return self._trace_pow_p(self._one_minus_c)
 
     @functools.cached_property
     def sum_inv_c_pow_p(self):
-        return self.trace_sum(lambda R: R.gen().inverse() ** self.p)
+        return int(self._inv_c_pow_p.trace())
 
     @functools.cached_property
     def sum_one_minus_inv_c_pow_p(self):
-        return self.trace_sum(
-            lambda R: (R.one() - R.gen().inverse()) ** self.p
-        )
+        # (1 - 1/c)^p = -(1-c)^p c^-p for odd p
+        return -self._trace_pow_p(self._one_minus_c, self._inv_c_pow_p) % self.ctx.modulus
 
     @functools.cached_property
     def sum_inv_one_minus_c_pow_p(self):
-        return self.trace_sum(
-            lambda R: (R.one() - R.gen()).inverse() ** self.p
-        )
+        return int(self._inv_one_minus_c_pow_p.trace())
 
     @functools.cached_property
     def sum_cp_over_cm1_p(self):
-        def build(R):
-            c = R.gen()
-            return (c ** self.p) * ((c - R.one()).inverse() ** self.p)
-
-        return self.trace_sum(build)
+        # (c-1)^-p = -(1-c)^-p for odd p
+        return -self._trace_pow_p(self._c, self._inv_one_minus_c_pow_p) % self.ctx.modulus
 
     @functools.cached_property
     def sum_pounds1(self):
-        return self.trace_sum(lambda R: pounds(1, R.gen()))
+        return trace_pounds(1, self._c)
 
     @functools.cached_property
     def sum_pounds1_short(self):
-        def build(R):
-            c = R.gen()
-            return pounds(1, c) * ((R.one() - c).inverse() ** self.p)
-
-        return self.trace_sum(build)
+        return trace_pounds(1, self._c, self._inv_one_minus_c_pow_p)
 
     @functools.cached_property
     def sum_pounds2_c(self):
-        return self.trace_sum(lambda R: pounds(2, R.gen()))
+        return trace_pounds(2, self._c)
 
     @functools.cached_property
     def sum_pounds2_one_minus_c(self):
-        return self.trace_sum(lambda R: pounds(2, R.one() - R.gen()))
+        return trace_pounds(2, self._one_minus_c)
 
     @functools.cached_property
     def sum_rkk_long(self):
-        def build(R):
-            c = R.gen()
-            return (c - c ** self.p) * (R.scalar(self.r - 1) + c).inverse()
-
-        return self.trace_sum(build)
+        return int(((self._c - self._c_pow_p) * self._inv_shift).trace())
 
     @functools.cached_property
     def sum_rkk_short(self):
-        def build(R):
-            c = R.gen()
-            denom = (R.one() - c ** self.p) * (R.scalar(self.r - 1) + c)
-            try:
-                inv = denom.inverse()
-            except NotAUnit as exc:
-                raise NonUnitDenominator(str(exc)) from exc
-            return (c - c ** self.p) * inv
+        c = self._c
+        denom = (self.ring.one() - self._c_pow_p) * (self.ring.scalar(self.r - 1) + c)
+        try:
+            inv = denom.inverse()
+        except NotAUnit as exc:
+            raise NonUnitDenominator(str(exc)) from exc
+        return int(((c - self._c_pow_p) * inv).trace())
 
-        return self.trace_sum(build)
+    def _bracket_trace(self, q, k):
+        """Tr(q * (k - (r-1) c^p - r (1-c)^p))."""
+        r = self.r
+        return (
+            k * int(q.trace())
+            - (r - 1) * self._trace_pow_p(self._c, q)
+            - r * self._trace_pow_p(self._one_minus_c, q)
+        ) % self.ctx.modulus
 
     @functools.cached_property
     def sum_mod2_full(self):
-        def build(R):
-            c = R.gen()
-            inner = (
-                R.scalar(self.r)
-                - (self.r - 1) * (c ** self.p)
-                - self.r * ((R.one() - c) ** self.p)
-            )
-            return (c - R.one()) * (R.scalar(self.r - 1) + c).inverse() * inner
-
-        return self.trace_sum(build)
+        # (c-1)/(r-1+c) times the bracket with k = r
+        q = -(self._one_minus_c * self._inv_shift)
+        return self._bracket_trace(q, self.r)
 
     @functools.cached_property
     def sum_mod2_open(self):
-        def build(R):
-            c = R.gen()
-            inner = (
-                R.scalar(self.r - 1)
-                - (self.r - 1) * (c ** self.p)
-                - self.r * ((R.one() - c) ** self.p)
-            )
-            return self.r * (R.scalar(self.r - 1) + c).inverse() * inner
-
-        return self.trace_sum(build)
+        # r/(r-1+c) times the bracket with k = r-1
+        return self.r * self._bracket_trace(self._inv_shift, self.r - 1) % self.ctx.modulus
 
     @functools.cached_property
     def z_inverse_pow_p_charpoly(self):
         """Coefficients of prod_i (T - (c_i/(c_i-1))^p), lowest degree first."""
-        m = self.ctx.modulus
-        combined = [1]
-        for R in self.rings:
-            c = R.gen()
-            w = (c * (c - R.one()).inverse()) ** self.p
-            cp = R.charpoly(w).coeffs
-            out = [0] * (len(combined) + len(cp) - 1)
-            for i, a in enumerate(combined):
-                if a == 0:
-                    continue
-                for j, b in enumerate(cp):
-                    out[i + j] = (out[i + j] + a * b) % m
-            combined = out
-        return tuple(combined)
+        c = self._c
+        w = (c * (c - self.ring.one()).inverse()) ** self.p
+        return self.ring.charpoly(w).coeffs
 
 
 @functools.lru_cache(maxsize=512)
@@ -516,6 +520,15 @@ def check_rkkmod2_var(r, x, p):
     return [var_row, cross]
 
 
+def _cofactor_trace(ring, r):
+    """Tr(q * (c^p + r p pounds_1(c))) with q = (c-1)/(r-1+c), in ring."""
+    p = ring.ctx.p
+    c = ring.gen()
+    q = (c - ring.one()) * (ring.scalar(r - 1) + c).inverse()
+    q_c_pow_p = ring.power_traces(c, p, q)[p]
+    return (q_c_pow_p + r * p * trace_pounds(1, c, q)) % ring.ctx.modulus
+
+
 def check_rkkmod2_multiple(r, p):
     """The double-root evaluation x0 = (r-1)^(r-1)/r^r mod p^2."""
     x0 = x0_value(r)
@@ -536,15 +549,7 @@ def check_rkkmod2_multiple(r, p):
     head = ((r - 2 + 3 * p * r) * pow(r - 1, p - 1, m2) - tail) % m2
     term1 = 2 * x0p * pow(3, -1, m2) * head % m2
 
-    def build(R):
-        c = R.gen()
-        return (
-            (c - R.one())
-            * (R.scalar(r - 1) + c).inverse()
-            * (c ** p + r * p * pounds(1, c))
-        )
-
-    cof_sum = sum(int(build(R).trace()) for R in cof_rings) % m2
+    cof_sum = sum(_cofactor_trace(R, r) for R in cof_rings) % m2
     term2 = x0p * cof_sum % m2
     rhs = (term1 - term2) % m2
     return _report("rkkmod2_multiple", r, p, 2, x0, lhs, rhs,
@@ -574,12 +579,6 @@ def check_cor_split(r, p):
     for rep in out:
         rep.elapsed = elapsed / max(len(out), 1)
     return out
-
-
-def count_split_residues(r, p):
-    """How many admissible residues split completely (oracle for QR parity)."""
-    reports = check_cor_split(r, p)
-    return len(reports) // 2
 
 
 def check_r3_beta(p, sample_count=8, seed=0):
@@ -678,7 +677,6 @@ _RANGE_BUILDERS = {
     "full": lambda r, p: full_range(p),
     "full0": lambda r, p: full_range(p, include_zero=True),
     "short": lambda r, p: short_range(r, p),
-    "short0": lambda r, p: short_range(r, p, include_zero=True),
 }
 
 

@@ -147,3 +147,54 @@ def test_exit_code_propagates_failures(monkeypatch, tmp_path):
     code = cli.main(["--primes", "7", "--theorems", "numerics",
                      "--out", str(tmp_path / "x.json")])
     assert code == 1
+
+
+def test_modulus_too_large_is_a_clean_exit_2(capsys):
+    # p^3 > MAX_MODULUS for p = 1451: refused with one line, not a traceback
+    from rkksums.errors import ModulusTooLarge, RkksumsError
+    from rkksums.modring import ModulusCtx
+
+    assert issubclass(ModulusTooLarge, RkksumsError)
+    assert issubclass(ModulusTooLarge, ValueError)
+    capsys.readouterr()
+    code = cli.main(["--primes", "1451", "--theorems", "rkksukk",
+                     "--r", "2", "--x", "2"])
+    assert code == 2
+    err = [line for line in capsys.readouterr().err.splitlines()
+           if line.startswith("error:")]
+    assert len(err) == 1 and "exceeds" in err[0]
+    try:
+        ModulusCtx(1451, 3)
+    except ModulusTooLarge:
+        pass
+    else:
+        raise AssertionError("ModulusCtx(1451, 3) was accepted")
+
+
+def test_primes_not_above_r_get_skip_rows():
+    summary, reports = run_cli([
+        "--r", "7", "--primes", "5,7,11", "--x", "2",
+        "--theorems", "rkksuk,rkkmod2,rkkmod2_multiple,cor_split",
+    ])
+    skipped = [(rep.theorem, rep.p, rep.e) for rep in reports
+               if rep.reason == "RequiresPGreaterThanR"]
+    # one row per (tag, r, p) with p <= r, at the tag's precision
+    assert sorted(skipped) == [
+        ("cor_split", 5, 1), ("cor_split", 7, 1),
+        ("rkkmod2", 5, 2), ("rkkmod2", 7, 2),
+        ("rkkmod2_multiple", 5, 2), ("rkkmod2_multiple", 7, 2),
+        ("rkksuk", 5, 1), ("rkksuk", 7, 1),
+    ]
+    assert all(rep.verdict == "skip" for rep in reports if rep.p <= 7)
+    assert summary.skip_reasons["RequiresPGreaterThanR"] == 8
+    assert any(rep.p == 11 and rep.verdict == "pass" for rep in reports)
+
+
+def test_jobs_are_capped_at_the_available_cpus():
+    # only the parsed config is checked; no pool is started
+    import os
+
+    cpus = len(os.sched_getaffinity(0))
+    for asked, expected in [("100000", cpus), ("0", 1), ("1", 1)]:
+        args = cli.build_parser().parse_args(["--jobs", asked])
+        assert cli.config_from_args(args).jobs == expected
