@@ -7,7 +7,6 @@ polynomial f, finite-polylogarithm traces from a linear recurrence, and
 special constants, all in exact arithmetic modulo p, p^2 or p^3.
 """
 
-from ._accel import engine
 from .modring import (
     GaloisElt,
     GaloisRing,
@@ -21,6 +20,12 @@ from .modring import (
 from .report import CongruenceReport, RunSummary
 
 __version__ = "0.1.0"
+
+
+def engine():
+    """Name of the kernel engine: always "numpy" (Python loops on int64 arrays)."""
+    return "numpy"
+
 
 __all__ = [
     "CongruenceReport",

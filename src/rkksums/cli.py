@@ -1,4 +1,7 @@
-"""Command-line harness: sweep checkers over (r, p, x) grids and emit reports.
+"""Command-line harness: walk the (r, p, x) grid once and emit reports.
+
+Every tag's grid, precision and row function come from theorems.FAMILIES;
+this module only parses the sweep, draws the x values and runs the tasks.
 
 Exit codes: 0 when every executed check passes (skips allowed), 1 when any
 check fails, 2 on configuration errors and on inputs the package refuses
@@ -13,21 +16,15 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
-from . import theorems
-from ._accel import engine
+from . import engine, theorems
 from .errors import ConfigError, RkksumsError
-from .finlog import check_functional_equations
 from .modring import as_rational
 from .polyfactor import Degeneracy, classify_residue
 from .primes import odd_primes_in
-from .report import FAIL, PASS, SKIP, CongruenceReport, RunSummary, emit_report
-from .seriesid import (
-    check_differentiation_ladder,
-    check_identities,
-    check_series_log_identity,
-    fuss_catalan_residual,
-)
+from .report import SKIP, CongruenceReport, RunSummary, emit_report
+from .theorems import EXACT, FAMILIES, P, PX, RP, RPX
 
 
 @dataclass
@@ -45,46 +42,7 @@ class RunConfig:
     jobs: int = 1
 
 
-# sweep modes: how each theorem tag consumes the (r, p, x) grid
-PER_RPX = "rpx"       # one call per (r, p, x)
-PER_RP = "rp"         # one call per (r, p)
-PER_PX = "px"         # one call per (p, x), r fixed by the checker
-PER_P = "p"           # one call per prime
-EXACT = "exact"       # characteristic-zero checks, no primes involved
-
-CHECKERS = {
-    "central_pol": (PER_PX, lambda p, x: theorems.check_central_pol(x, p)),
-    "rkksuk": (PER_RPX, lambda r, p, x: theorems.check_rkksuk(r, x, p)),
-    "rkksuk_short": (PER_RPX, lambda r, p, x: theorems.check_rkksuk_short(r, x, p)),
-    "rkk": (PER_RPX, lambda r, p, x: theorems.check_rkk(r, x, p)),
-    "rkksuk_z": (PER_RPX, lambda r, p, x: theorems.check_rkksuk_z(r, x, p)),
-    "rkksuk_long": (PER_RPX, lambda r, p, x: theorems.check_rkksuk_long(r, x, p)),
-    "lemma_technical": (PER_RPX, lambda r, p, x: theorems.check_lemma_technical(r, x, p)),
-    "mystery": (PER_RPX, lambda r, p, x: theorems.check_mystery(r, x, p)),
-    "rkksukk": (PER_RPX, lambda r, p, x: theorems.check_rkksukk(r, x, p)),
-    "rkksukmod2": (PER_RPX, lambda r, p, x: theorems.check_rkksukmod2(r, x, p)),
-    "rkkmod2": (PER_RPX, lambda r, p, x: theorems.check_rkkmod2(r, x, p)),
-    "rkkmod2_var": (PER_RPX, lambda r, p, x: theorems.check_rkkmod2_var(r, x, p)),
-    "rkkmod2_multiple": (PER_RP, lambda r, p: theorems.check_rkkmod2_multiple(r, p)),
-    "cor_split": (PER_RP, lambda r, p: theorems.check_cor_split(r, p)),
-    "r3_beta": (PER_P, None),    # sample count and seed bound at task build
-    "numerics": (PER_P, lambda p: theorems.check_numerics_table(p)),
-    "fe": (PER_P, None),
-    "series": (EXACT, None),
-    "identities": (EXACT, None),
-}
-
-# per-(r, p) tags stated mod p^2; the rest are stated mod p
-MOD_P2_TAGS = {
-    "rkksuk_z", "rkksuk_long", "lemma_technical", "mystery", "rkksukmod2",
-    "rkkmod2", "rkkmod2_var", "rkkmod2_multiple",
-}
-
-DEFAULT_THEOREMS = [
-    "rkksuk", "rkksuk_short", "rkk", "rkksuk_z", "rkksuk_long",
-    "lemma_technical", "mystery", "rkksukk", "rkksukmod2",
-    "rkkmod2", "rkkmod2_var", "rkkmod2_multiple", "central_pol",
-]
+DEFAULT_THEOREMS = [tag for tag, fam in FAMILIES.items() if fam.default]
 
 
 def parse_primes(text):
@@ -125,99 +83,52 @@ def draw_x_values(config, tag, r, p):
     return xs
 
 
-def _series_reports(config):
-    out = []
-    for r in config.r_values:
-        residual = fuss_catalan_residual(r, config.series_order)
-        ok_fc = all(c == 0 for c in residual)
-        out.append(CongruenceReport(
-            theorem="series_functional_eq", r=r, p=0, e=0, x=None,
-            lhs=0 if ok_fc else 1, rhs=0, modulus=0,
-            verdict=PASS if ok_fc else FAIL,
-        ))
-        ok_log = check_series_log_identity(r, config.series_order)
-        out.append(CongruenceReport(
-            theorem="series_log", r=r, p=0, e=0, x=None,
-            lhs=0 if ok_log else 1, rhs=0, modulus=0,
-            verdict=PASS if ok_log else FAIL,
-        ))
-    return out
-
-
-def _identity_reports(config):
-    out = []
-    for r in config.r_values:
-        verdicts = check_identities(r, config.identity_n)
-        for key, ok in verdicts.items():
-            out.append(CongruenceReport(
-                theorem=f"identity_{key}", r=r, p=0, e=0, x=None,
-                lhs=0 if ok else 1, rhs=0, modulus=0,
-                verdict=PASS if ok else FAIL,
-            ))
-        ladder = check_differentiation_ladder(r, config.identity_n)
-        out.append(CongruenceReport(
-            theorem="identity_ladder", r=r, p=0, e=0, x=None,
-            lhs=0 if ladder else 1, rhs=0, modulus=0,
-            verdict=PASS if ladder else FAIL,
-        ))
-    return out
-
-
 def _p_not_above_r(tag, r, p):
     """The skip row for a per-(r, p) tag at a prime p <= r, outside every scope."""
-    e = 2 if tag in MOD_P2_TAGS else 1
+    e = FAMILIES[tag].e
     return CongruenceReport(
         theorem=tag, r=r, p=p, e=e, x=None, lhs=None, rhs=None,
         modulus=p ** e, verdict=SKIP, reason="RequiresPGreaterThanR",
     )
 
 
+def _run_point(fns, r, p, x):
+    return [rows(r, p, x) for rows in fns]
+
+
 def build_tasks(config):
-    """The flat list of independent callables the run executes."""
-    tasks = []
+    """The flat list of independent callables the run executes.
+
+    The (r, p, x) grid is walked once: at each point one task runs every
+    selected per-(r, p, x) tag, so the tags share the point's root sums.
+    Task order never reaches the report, because run sorts its rows.
+    """
+    selected = []
     for tag in config.theorems:
-        if tag not in CHECKERS:
+        if tag not in FAMILIES:
             raise ConfigError(f"unknown theorem tag {tag!r}")
-        mode, fn = CHECKERS[tag]
-        if mode == EXACT:
-            if tag == "series":
-                tasks.append(lambda c=config: _series_reports(c))
-            else:
-                tasks.append(lambda c=config: _identity_reports(c))
-            continue
-        if not config.primes:
-            continue
-        if mode == PER_P:
-            for p in config.primes:
-                if tag == "fe":
-                    count = config.x_random or 8
-                    tasks.append(lambda p=p, c=count, s=config.seed:
-                                 check_functional_equations(p, c, s))
-                elif tag == "r3_beta":
-                    count = config.x_random or 8
-                    tasks.append(lambda p=p, c=count, s=config.seed:
-                                 theorems.check_r3_beta(p, c, s))
-                else:
-                    tasks.append(lambda p=p, f=fn: f(p))
-        elif mode == PER_RP:
-            for r in config.r_values:
-                for p in config.primes:
-                    if p <= r:
-                        tasks.append(lambda t=tag, r=r, p=p: _p_not_above_r(t, r, p))
-                        continue
-                    tasks.append(lambda r=r, p=p, f=fn: f(r, p))
-        elif mode == PER_PX:
-            for p in config.primes:
-                for x in draw_x_values(config, tag, 2, p):
-                    tasks.append(lambda p=p, x=x, f=fn: f(p, x))
-        else:
-            for r in config.r_values:
-                for p in config.primes:
-                    if p <= r:
-                        tasks.append(lambda t=tag, r=r, p=p: _p_not_above_r(t, r, p))
-                        continue
-                    for x in draw_x_values(config, tag, r, p):
-                        tasks.append(lambda r=r, p=p, x=x, f=fn: f(r, p, x))
+        selected.append((tag, FAMILIES[tag]))
+
+    def on(*grids):
+        return [(tag, fam.rows) for tag, fam in selected if fam.grid in grids]
+
+    tasks = [partial(rows, r, config) for _, rows in on(EXACT) for r in config.r_values]
+    for p in config.primes:
+        tasks += [partial(rows, p, config) for _, rows in on(P)]
+        # a per-(p, x) family fixes r = 2, so its x are drawn for r = 2
+        tasks += [partial(rows, p, x) for tag, rows in on(PX)
+                  for x in draw_x_values(config, tag, 2, p)]
+    for r in config.r_values:
+        for p in config.primes:
+            if p <= r:
+                tasks += [partial(_p_not_above_r, tag, r, p) for tag, _ in on(RP, RPX)]
+                continue
+            tasks += [partial(rows, r, p) for _, rows in on(RP)]
+            at_x = {}  # x -> the row functions of every tag that drew it
+            for tag, rows in on(RPX):
+                for x in draw_x_values(config, tag, r, p):
+                    at_x.setdefault(x, []).append(rows)
+            tasks += [partial(_run_point, fns, r, p, x) for x, fns in at_x.items()]
     return tasks
 
 
@@ -231,7 +142,8 @@ def run(config):
         if isinstance(result, CongruenceReport):
             reports.append(result)
         else:
-            reports.extend(result)
+            for item in result:
+                consume(item)
 
     if config.jobs > 1:
         with ThreadPoolExecutor(max_workers=config.jobs) as pool:
@@ -263,7 +175,7 @@ def build_parser():
     parser.add_argument("--x-random", type=int, default=0, metavar="N",
                         help="draw N random nondegenerate x per (r, p)")
     parser.add_argument("--theorems", default=",".join(DEFAULT_THEOREMS),
-                        help=f"tags from: {', '.join(sorted(CHECKERS))}")
+                        help=f"tags from: {', '.join(sorted(FAMILIES))}")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--series-order", type=int, default=60, metavar="N")
     parser.add_argument("--identity-n", type=int, default=20, metavar="N")
@@ -301,9 +213,6 @@ def config_from_args(args):
         )
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(str(exc)) from exc
-    for tag in config.theorems:
-        if tag not in CHECKERS:
-            raise ConfigError(f"unknown theorem tag {tag!r}")
     return config
 
 

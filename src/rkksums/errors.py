@@ -33,10 +33,6 @@ class ZeroInRange(RkksumsError):
     """A summation range contains k = 0 but the summand divides by k."""
 
 
-class DegenerateX(RkksumsError):
-    """x is 0 or the double-root value, outside a generic checker's scope."""
-
-
 class NonUnitDenominator(RkksumsError):
     """A theorem denominator is not invertible in some factor ring."""
 

@@ -5,16 +5,13 @@ residues never overflows a signed 64-bit integer and every intermediate is
 reduced before the next multiplication.  Polynomials are coefficient arrays,
 lowest degree first; quotient polynomials g are monic of length m+1.
 
-The @njit decorator comes from the shim in _accel: with RKKSUMS_NO_NUMBA=1
-the same bodies run uncompiled on NumPy scalars.
+The kernels are plain Python loops over NumPy int64 arrays; this is the one
+engine the package has, reported as "numpy" by rkksums.engine().
 """
 
 import numpy as np
 
-from ._accel import njit
 
-
-@njit(cache=True)
 def powmod(a, n, mod):
     a = a % mod
     r = 1 % mod
@@ -26,7 +23,6 @@ def powmod(a, n, mod):
     return r
 
 
-@njit(cache=True)
 def poly_mulmod(a, b, g, mod):
     """(a * b) reduced by the monic polynomial g, coefficients mod `mod`."""
     m = g.shape[0] - 1
@@ -47,7 +43,6 @@ def poly_mulmod(a, b, g, mod):
     return prod[:m].copy()
 
 
-@njit(cache=True)
 def poly_powmod(a, n, g, mod):
     m = g.shape[0] - 1
     out = np.zeros(m, dtype=np.int64)
@@ -61,7 +56,6 @@ def poly_powmod(a, n, g, mod):
     return out
 
 
-@njit(cache=True)
 def weighted_powers_scalar(t, w, mod):
     """sum_{k=1}^{len(w)} w[k-1] * t^k  (mod mod)."""
     acc = 0
@@ -72,7 +66,6 @@ def weighted_powers_scalar(t, w, mod):
     return acc
 
 
-@njit(cache=True)
 def weighted_powers_poly(u, w, g, mod):
     """sum_{k=1}^{len(w)} w[k-1] * u^k in the quotient ring by g."""
     m = g.shape[0] - 1
@@ -89,7 +82,6 @@ def weighted_powers_poly(u, w, g, mod):
     return acc
 
 
-@njit(cache=True)
 def weighted_geometric_sum(coefs, w, x, lo, hi, mod):
     """sum_{k=lo}^{hi-1} coefs[k] * w[k] * x^k  (mod mod)."""
     acc = 0
@@ -101,7 +93,6 @@ def weighted_geometric_sum(coefs, w, x, lo, hi, mod):
     return acc
 
 
-@njit(cache=True)
 def trace_mult(u, g, mod):
     """Trace of the multiplication-by-u operator on the basis 1, c, ..., c^(m-1)."""
     m = g.shape[0] - 1
@@ -119,7 +110,6 @@ def trace_mult(u, g, mod):
     return tr
 
 
-@njit(cache=True)
 def mult_matrix(u, g, mod):
     """Matrix of multiplication by u; column j holds u * c^j reduced by g."""
     m = g.shape[0] - 1
@@ -140,7 +130,6 @@ def mult_matrix(u, g, mod):
     return mat
 
 
-@njit(cache=True)
 def fl_charpoly(mat, inv_table, mod):
     """Characteristic polynomial by the Faddeev-LeVerrier scheme.
 

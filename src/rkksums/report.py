@@ -31,7 +31,6 @@ class CongruenceReport:
     verdict: str
     m: int | None = None
     reason: str = ""
-    elapsed: float = 0.0
 
     def row(self):
         return {
@@ -99,8 +98,27 @@ def render_csv(reports):
     return buf.getvalue()
 
 
+def _json_scalar(value):
+    if value is None:
+        return "null"
+    return json.dumps(value) if isinstance(value, str) else str(value)
+
+
 def render_json(reports):
-    return json.dumps([rep.row() for rep in reports], indent=2) + "\n"
+    """The bytes of json.dumps(rows, indent=2) + "\\n", from a template.
+
+    The indenting json encoder is pure Python; the row shape is fixed, so a
+    template writes the same text without it.
+    """
+    if not reports:
+        return "[]\n"
+    rows = ",\n".join(
+        "  {\n"
+        + ",\n".join(f'    "{key}": {_json_scalar(value)}' for key, value in rep.row().items())
+        + "\n  }"
+        for rep in reports
+    )
+    return f"[\n{rows}\n]\n"
 
 
 def emit_report(reports, fmt, path=None):

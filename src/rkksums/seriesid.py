@@ -318,13 +318,3 @@ def check_differentiation_ladder(r, n):
     step1 = PolyQ.y() * rhs2.derivative() == rhs1
     step2 = rhs1.derivative() == rhs0
     return step1 and step2
-
-
-def power_sum_at(r, n, y_value):
-    """Exact rational value of s_n at a rational y; ties the two pipelines.
-
-    s_n(1/x) equals the sum of c_i^n over the global roots of the (r, x)
-    root polynomial, so its reduction mod p^e must match the trace path.
-    """
-    s, _ = power_sums(r, n)
-    return s[n].evaluate(Fraction(y_value))

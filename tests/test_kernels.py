@@ -1,12 +1,10 @@
-"""Differential tests: kernels against naive references and against py_func."""
+"""Differential tests: kernels against naive references."""
 
 import random
 
 import numpy as np
-import pytest
 
 from rkksums import kernels
-from rkksums._accel import HAVE_NUMBA
 
 
 def ref_poly_mulmod(a, b, g, mod):
@@ -147,26 +145,3 @@ def test_fl_charpoly_against_cofactor_expansion():
         inv_table = np.array([pow(k, -1, mod) for k in range(1, m + 1)], dtype=np.int64)
         got = kernels.fl_charpoly(np.array(mat, dtype=np.int64), inv_table, mod)
         assert list(got) == coeffs[: m + 1]
-
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="pure-python engine already active")
-def test_jitted_and_python_paths_agree():
-    rng = random.Random(8)
-    for _ in range(25):
-        mod = rng.choice([7, 11 ** 2, 13 ** 3])
-        m = rng.randrange(1, 6)
-        g = random_monic(rng, m, mod)
-        a = np.array([rng.randrange(mod) for _ in range(m)], dtype=np.int64)
-        b = np.array([rng.randrange(mod) for _ in range(m)], dtype=np.int64)
-        assert list(kernels.poly_mulmod(a, b, g, mod)) == list(
-            kernels.poly_mulmod.py_func(a, b, g, mod)
-        )
-        n = rng.randrange(1, 100)
-        assert list(kernels.poly_powmod(a, n, g, mod)) == list(
-            kernels.poly_powmod.py_func(a, n, g, mod)
-        )
-        assert kernels.trace_mult(a, g, mod) == kernels.trace_mult.py_func(a, g, mod)
-        w = np.array([rng.randrange(mod) for _ in range(15)], dtype=np.int64)
-        assert list(kernels.weighted_powers_poly(a, w, g, mod)) == list(
-            kernels.weighted_powers_poly.py_func(a, w, g, mod)
-        )
