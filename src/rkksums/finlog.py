@@ -46,10 +46,8 @@ def pounds(s, u):
         raise ValueError(f"unsupported polylog order {s}")
     if isinstance(u, ResidueInt):
         ctx = u.ctx
-        w = _weights(ctx.p, ctx.e, s)
-        return ResidueInt(
-            int(kernels.weighted_powers_scalar(u.value, w, ctx.modulus)), ctx
-        )
+        w = _weights(ctx.p, ctx.e, s).tolist()
+        return ResidueInt(kernels.weighted_powers_scalar(u.value, w, ctx.modulus), ctx)
     if isinstance(u, GaloisElt):
         ctx = u.ring.ctx
         w = _weights(ctx.p, ctx.e, s)

@@ -1,26 +1,19 @@
-"""Hot numeric kernels: modular polynomial arithmetic on int64 arrays.
+"""Hot numeric kernels: modular sums and polynomial arithmetic.
 
 Every residue lives in [0, mod) with mod*(mod+1) < 2**63, so a product of two
-residues never overflows a signed 64-bit integer and every intermediate is
-reduced before the next multiplication.  Polynomials are coefficient arrays,
-lowest degree first; quotient polynomials g are monic of length m+1.
+residues plus a residue never overflows a signed 64-bit integer and every
+intermediate is reduced before the next multiplication.  Polynomials are
+coefficient arrays, lowest degree first; quotient polynomials g are monic of
+length m+1.
 
-The kernels are plain Python loops over NumPy int64 arrays; this is the one
-engine the package has, reported as "numpy" by rkksums.engine().
+The kernels are plain Python loops.  A scalar kernel loops over Python ints;
+the quotient-ring kernels loop over NumPy int64 arrays, and
+weighted_geometric_sum runs its one loop on a whole int64 array of x values
+at once.  This is the one engine the package has, reported as "numpy" by
+rkksums.engine().
 """
 
 import numpy as np
-
-
-def powmod(a, n, mod):
-    a = a % mod
-    r = 1 % mod
-    while n > 0:
-        if n & 1:
-            r = (r * a) % mod
-        a = (a * a) % mod
-        n >>= 1
-    return r
 
 
 def poly_mulmod(a, b, g, mod):
@@ -57,12 +50,10 @@ def poly_powmod(a, n, g, mod):
 
 
 def weighted_powers_scalar(t, w, mod):
-    """sum_{k=1}^{len(w)} w[k-1] * t^k  (mod mod)."""
+    """sum_{k=1}^{len(w)} w[k-1] * t^k  (mod mod), by Horner's rule on ints."""
     acc = 0
-    pw = 1 % mod
-    for k in range(w.shape[0]):
-        pw = (pw * t) % mod
-        acc = (acc + w[k] * pw) % mod
+    for wk in reversed(w):
+        acc = (acc + wk) * t % mod
     return acc
 
 
@@ -83,13 +74,22 @@ def weighted_powers_poly(u, w, g, mod):
 
 
 def weighted_geometric_sum(coefs, w, x, lo, hi, mod):
-    """sum_{k=lo}^{hi-1} coefs[k] * w[k] * x^k  (mod mod)."""
-    acc = 0
-    xp = powmod(x, lo, mod)
-    for k in range(lo, hi):
-        t = (coefs[k] * xp) % mod
-        acc = (acc + t * w[k]) % mod
-        xp = (xp * x) % mod
+    """sum_{k=lo}^{hi-1} coefs[k] * w[k] * x^k  (mod mod), by Horner's rule.
+
+    x is a residue, either an int or a 1-D int64 array of residues; the
+    result has its type and shape.  An int x is summed in Python ints; an
+    array is summed for every entry at once, reduced after every
+    multiply-add, which stays below mod*(mod-1).
+    """
+    acc = x * 0
+    for t in reversed((coefs[lo:hi] * w[lo:hi] % mod).tolist()):
+        acc = (acc * x + t) % mod
+    # times x^lo, by squaring
+    while lo:
+        if lo & 1:
+            acc = acc * x % mod
+        x = x * x % mod
+        lo >>= 1
     return acc
 
 

@@ -6,6 +6,7 @@ polynomials in Q[y] for the power-sum identities that feed the modular
 brackets.  No floating point, no tolerances.
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -123,27 +124,32 @@ class SeriesQ:
         return f"SeriesQ([{head}, ...], order={self.order})"
 
 
+def _fuss_catalan_series(r, order):
+    return SeriesQ(
+        [Fraction(math.comb(r * k + 1, k), r * k + 1) for k in range(order + 1)], order
+    )
+
+
 def fuss_catalan(r, order):
     """The series sum_k binom(rk+1,k)/(rk+1) x^k, checked against z = 1 + x z^r."""
     if r < 1 or order < 1:
         raise ValueError("need r >= 1 and order >= 1")
     if order > MAX_SERIES_ORDER:
         raise ValueError(f"order capped at {MAX_SERIES_ORDER}")
-    coeffs = [Fraction(math.comb(r * k + 1, k), r * k + 1) for k in range(order + 1)]
-    series = SeriesQ(coeffs, order)
-    residual = series - (SeriesQ.x(order) * series.pow(r) + 1)
-    if not residual.is_zero():
+    if any(fuss_catalan_residual(r, order)):
         raise AssertionError(f"functional equation fails for r={r}")
-    return series
+    return _fuss_catalan_series(r, order)
 
 
+@functools.lru_cache(maxsize=32)
 def fuss_catalan_residual(r, order):
-    """Coefficients of B - (1 + x B^r); identically zero by construction."""
-    series_coeffs = [
-        Fraction(math.comb(r * k + 1, k), r * k + 1) for k in range(order + 1)
-    ]
-    series = SeriesQ(series_coeffs, order)
-    return (series - (SeriesQ.x(order) * series.pow(r) + 1)).coeffs
+    """Coefficients of B - (1 + x B^r); identically zero by construction.
+
+    Cached, so the series tag's functional-equation row and its log row
+    (which checks the series through fuss_catalan) build B^r once.
+    """
+    series = _fuss_catalan_series(r, order)
+    return tuple((series - (SeriesQ.x(order) * series.pow(r) + 1)).coeffs)
 
 
 def check_series_log_identity(r, order):

@@ -97,3 +97,36 @@ def lucas_binom_mod_p(n, k, p):
         n //= p
         k //= p
     return result
+
+
+def _poly_mulmod(a, b, f, p):
+    """a * b reduced by the monic f over F_p; a, b and the result have deg(f) entries."""
+    n = len(f) - 1
+    prod = [0] * (2 * n - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
+    for i in range(2 * n - 2, n - 1, -1):
+        top = prod[i] % p
+        if top:
+            for j in range(n):
+                prod[i - n + j] -= top * f[j]
+    return [v % p for v in prod[:n]]
+
+
+def splits_by_frobenius(r, a, p):
+    """Whether the root polynomial at x = a splits into distinct linear factors over F_p.
+
+    The criterion c^p == c mod f, by square-and-multiply on coefficient
+    lists.  c is taken reduced mod f, so a linear f (r = 1) counts too.
+    """
+    f = root_poly_coeffs(r, a, p, 1)
+    c = [0, 1] + [0] * (r - 2) if r > 1 else [-f[0] % p]
+    acc, base, n = [1] + [0] * (r - 1), c, p
+    while n:
+        if n & 1:
+            acc = _poly_mulmod(acc, base, f, p)
+        base = _poly_mulmod(base, base, f, p)
+        n >>= 1
+    return acc == c

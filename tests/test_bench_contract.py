@@ -1,0 +1,29 @@
+"""The benchmark's untraced run must stay well-formed and correct on this tree.
+
+perfbench/run.py grades every sweep's report against the recorded golden
+digests and prints its result as the last line of standard output.  This
+runs its shortest run on the lhs_exact workload (the split scan, the
+numerical table, the exact series) and checks that result's shape.
+"""
+
+import json
+import math
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def test_lhs_exact_run_is_correct_and_numeric():
+    argv = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "lhs_exact",
+            "--seed", "0", "--seconds", "0", "--trace", "0"]
+    proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, result
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    for metric in spec:
+        value = result["metrics"][metric["name"]]["value"]
+        assert not isinstance(value, bool) and isinstance(value, (int, float)), metric
+        assert math.isfinite(value), metric

@@ -5,12 +5,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import lucas_binom_mod_p, naive_lhs
 from rkksums.binomsums import (
+    SumRange,
     binom_table,
     full_range,
     lhs_sum,
+    lhs_sums,
     range_A,
     range_A_star,
     short_range,
@@ -62,8 +66,6 @@ def test_binom_table_matches_lucas_at_e1():
 
 def test_lhs_sum_empty_range_and_zero_guard():
     ctx = ModulusCtx(7, 1)
-    from rkksums.binomsums import SumRange
-
     assert lhs_sum(3, Fraction(2), 1, SumRange(5, 5), ctx).value == 0
     with pytest.raises(ZeroInRange):
         lhs_sum(3, Fraction(2), 1, full_range(7, include_zero=True), ctx)
@@ -92,8 +94,6 @@ def test_lhs_sum_against_naive_rational_oracle():
         x = Fraction(num, den)
         lo = 1 if d else rng.randrange(0, 2)
         hi = rng.randrange(lo + 1, p + 1)
-        from rkksums.binomsums import SumRange
-
         ctx = ModulusCtx(p, e)
         got = lhs_sum(r, x, d, SumRange(lo, hi), ctx).value
         assert got == naive_lhs(r, x, d, lo, hi, p, e)
@@ -133,3 +133,33 @@ def test_lhs_sum_multiplicative_in_x():
         ), 1, full_range(11), ctx
     ).value
     assert direct == via_residue
+
+
+@st.composite
+def batched_sums(draw):
+    """(r, xs, d, range, p, e): p^e up to 1447^3, just under MAX_MODULUS."""
+    p, e = draw(st.sampled_from([(3, 1), (5, 3), (7, 2), (13, 1), (101, 2), (1447, 1), (1447, 3)]))
+    m = p ** e
+    d = draw(st.sampled_from((0, 1, 2)))
+    lo = draw(st.integers(1 if d else 0, p))
+    hi = draw(st.integers(lo, p))
+    dens = st.integers(1, 50).filter(lambda den: den % p)
+    xs = draw(st.lists(st.builds(Fraction, st.integers(-2 * m, 2 * m), dens), max_size=6))
+    return draw(st.integers(1, 6)), xs, d, SumRange(lo, hi), p, e
+
+
+@settings(max_examples=60, deadline=None)
+@given(batched_sums())
+@example((6, [Fraction(1447 ** 3 - 1), Fraction(-1), Fraction(2, 3)], 2, SumRange(1, 1447), 1447, 3))
+@example((2, [Fraction(5)], 0, SumRange(0, 0), 7, 2))
+def test_lhs_sums_against_lhs_sum_and_big_int_sum(case):
+    r, xs, d, sum_range, p, e = case
+    ctx = ModulusCtx(p, e)
+    m = ctx.modulus
+    got = lhs_sums(r, xs, d, sum_range, ctx)
+    assert got == [lhs_sum(r, x, d, sum_range, ctx).value for x in xs]
+    terms = [(k, math.comb(r * k, k) * pow(k, -d, m)) for k in range(sum_range.lo, sum_range.hi)]
+    for x, value in zip(xs, got):
+        xv = x.numerator * pow(x.denominator, -1, m) % m
+        assert type(value) is int
+        assert value == sum(t * pow(xv, k, m) for k, t in terms) % m

@@ -64,6 +64,15 @@ def test_cor_split_scan_at_101(tmp_path):
     assert all(row["verdict"] == "pass" for row in rows)
 
 
+def test_cor_split_at_r1_gives_every_nondegenerate_residue():
+    # a linear root polynomial always splits: p - 2 residues, two rows each
+    summary, reports = run_cli(["--r", "1,2", "--primes", "7..13", "--theorems", "cor_split"])
+    rows = [rep for rep in reports if rep.r == 1]
+    assert sorted({(rep.p, rep.x) for rep in rows}) == [
+        (p, a) for p in (7, 11, 13) for a in range(2, p)]
+    assert len(rows) == 50 and all(rep.verdict == "pass" for rep in rows)
+
+
 def test_csv_round_trip():
     summary, reports = run_cli([
         "--r", "2,3", "--primes", "5..20", "--x", "2,1/8",

@@ -26,15 +26,6 @@ def random_monic(rng, m, mod):
     return np.array(g, dtype=np.int64)
 
 
-def test_powmod_matches_builtin():
-    rng = random.Random(1)
-    for _ in range(200):
-        mod = rng.choice([5, 49, 343, 121, 28561])
-        a = rng.randrange(mod)
-        n = rng.randrange(10 ** 6)
-        assert kernels.powmod(a, n, mod) == pow(a, n, mod)
-
-
 def test_poly_mulmod_against_reference():
     rng = random.Random(2)
     for _ in range(100):
@@ -75,12 +66,14 @@ def test_weighted_geometric_sum_direct():
     mod = 7 ** 2
     coefs = np.array([rng.randrange(mod) for _ in range(20)], dtype=np.int64)
     w = np.array([rng.randrange(mod) for _ in range(20)], dtype=np.int64)
-    x = 11
+    xs = [11, 0, 1, mod - 1]
     lo, hi = 3, 17
-    expected = sum(
+    expected = [sum(
         int(coefs[k]) * int(w[k]) * pow(x, k, mod) for k in range(lo, hi)
-    ) % mod
-    assert kernels.weighted_geometric_sum(coefs, w, x, lo, hi, mod) == expected
+    ) % mod for x in xs]
+    assert kernels.weighted_geometric_sum(coefs, w, xs[0], lo, hi, mod) == expected[0]
+    batched = kernels.weighted_geometric_sum(coefs, w, np.array(xs, dtype=np.int64), lo, hi, mod)
+    assert batched.dtype == np.int64 and batched.tolist() == expected
 
 
 def test_trace_is_matrix_diagonal():

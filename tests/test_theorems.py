@@ -276,6 +276,19 @@ def test_cor_split_counts_match_direct_enumeration():
     assert len(reports) // 2 == direct
 
 
+
+def test_split_residues_match_the_frobenius_criterion():
+    # the root count against c^p == c (mod f), the test cor_split made per residue
+    from helpers import splits_by_frobenius
+    from rkksums.polyfactor import Degeneracy, classify_residue
+
+    for r in range(1, 7):
+        for p in odd_primes_in(r + 1, 399):
+            expected = [a for a in range(1, p)
+                        if classify_residue(r, a, p) is Degeneracy.NONDEGENERATE
+                        and splits_by_frobenius(r, a, p)]
+            assert T.split_residues(r, p) == expected, (r, p)
+
 def test_r3_beta_fixed_points():
     # beta = (1+i)/2 with i^2 = -1 gives c = 1/2, x = 2: the short form is
     # -3 q_p(2); beta and 1-beta produce identical values
