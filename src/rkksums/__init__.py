@@ -1,10 +1,10 @@
 """Exact verification of congruences for sums of binom(rk,k) x^k / k^d.
 
 The package evaluates both sides of each congruence independently: brute
-force summation on the left; on the right, traces and characteristic
-polynomials in one algebra Z/p^e[c]/(f) over the unfactored root
-polynomial f, finite-polylogarithm traces from a linear recurrence, and
-special constants, all in exact arithmetic modulo p, p^2 or p^3.
+force summation on the left; on the right, power sums of the polynomials
+whose roots are Moebius images of the roots of the root polynomial f, and
+integer sequences that follow their linear recurrences, plus special
+constants, all in exact arithmetic modulo p, p^2 or p^3.
 """
 
 from .modring import (

@@ -5,7 +5,9 @@ this module only parses the sweep, draws the x values and runs the tasks.
 
 Exit codes: 0 when every executed check passes (skips allowed), 1 when any
 check fails, 2 on configuration errors and on inputs the package refuses
-(such as a modulus p^e beyond the int64-safe bound).
+(such as a modulus p^e beyond the int64-safe bound), 3 when the program
+itself breaks: any other exception, reported as one "internal error:" line
+naming the task, so a crash never reads as a failed congruence.
 """
 
 import argparse
@@ -92,6 +94,26 @@ def _p_not_above_r(tag, r, p):
     )
 
 
+class TaskError(Exception):
+    """A task raised something other than an RkksumsError: a bug, not a verdict."""
+
+
+def _at(where, fn, *args):
+    """fn(*args), with an unexpected exception wrapped as a TaskError naming where."""
+    try:
+        return fn(*args)
+    except RkksumsError:
+        raise
+    except Exception as exc:
+        at = ", ".join(f"{key}={value}" for key, value in where.items())
+        raise TaskError(f"{at}: {type(exc).__name__}: {exc}") from exc
+
+
+def _task(fn, *args, **where):
+    """A task running fn(*args); where (tag, r, p, x) names it if it breaks."""
+    return partial(_at, where, fn, *args)
+
+
 def _run_point(fns, r, p, x):
     return [rows(r, p, x) for rows in fns]
 
@@ -112,23 +134,26 @@ def build_tasks(config):
     def on(*grids):
         return [(tag, fam.rows) for tag, fam in selected if fam.grid in grids]
 
-    tasks = [partial(rows, r, config) for _, rows in on(EXACT) for r in config.r_values]
+    tasks = [_task(rows, r, config, tag=tag, r=r)
+             for tag, rows in on(EXACT) for r in config.r_values]
     for p in config.primes:
-        tasks += [partial(rows, p, config) for _, rows in on(P)]
+        tasks += [_task(rows, p, config, tag=tag, p=p) for tag, rows in on(P)]
         # a per-(p, x) family fixes r = 2, so its x are drawn for r = 2
-        tasks += [partial(rows, p, x) for tag, rows in on(PX)
+        tasks += [_task(rows, p, x, tag=tag, r=2, p=p, x=x) for tag, rows in on(PX)
                   for x in draw_x_values(config, tag, 2, p)]
     for r in config.r_values:
         for p in config.primes:
             if p <= r:
                 tasks += [partial(_p_not_above_r, tag, r, p) for tag, _ in on(RP, RPX)]
                 continue
-            tasks += [partial(rows, r, p) for _, rows in on(RP)]
-            at_x = {}  # x -> the row functions of every tag that drew it
+            tasks += [_task(rows, r, p, tag=tag, r=r, p=p) for tag, rows in on(RP)]
+            at_x = {}  # x -> the tags and row functions of every tag that drew it
             for tag, rows in on(RPX):
                 for x in draw_x_values(config, tag, r, p):
-                    at_x.setdefault(x, []).append(rows)
-            tasks += [partial(_run_point, fns, r, p, x) for x, fns in at_x.items()]
+                    at_x.setdefault(x, {}).setdefault(tag, []).append(rows)
+            tasks += [_task(_run_point, [f for fs in at.values() for f in fs], r, p, x,
+                            tag=",".join(at), r=r, p=p, x=x)
+                      for x, at in at_x.items()]
     return tasks
 
 
@@ -201,9 +226,10 @@ def config_from_args(args):
         config = RunConfig(
             r_values=r_values,
             primes=parse_primes(args.primes) if args.primes else [],
-            x_values=parse_rationals(args.x) if args.x else [],
+            # a repeated x or tag is one check, not two: keep the first
+            x_values=list(dict.fromkeys(parse_rationals(args.x))) if args.x else [],
             x_random=args.x_random,
-            theorems=[t.strip() for t in args.theorems.split(",") if t.strip()],
+            theorems=list(dict.fromkeys(t.strip() for t in args.theorems.split(",") if t.strip())),
             seed=args.seed,
             series_order=args.series_order,
             identity_n=args.identity_n,
@@ -227,6 +253,10 @@ def main(argv=None):
     except RkksumsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a bug, never a verdict: not exit 1
+        detail = exc if isinstance(exc, TaskError) else f"{type(exc).__name__}: {exc}"
+        print(f"internal error: {detail}", file=sys.stderr)
+        return 3
     try:
         text = emit_report(reports, config.fmt, config.out)
     except OSError as exc:

@@ -3,10 +3,12 @@
 pounds(s, u) is the truncated series sum_{k=1}^{p-1} u^k / k^s; the orders
 actually used are s = 0 (a rational function), s = 1 (truncated logarithm)
 and s = 2 (finite dilogarithm).  Root sums only ever need the trace of a
-ring polylog, which trace_pounds computes from a linear recurrence without
-forming the polylog itself.  The constants gathered here - Fermat
-quotients, Euler and Bernoulli numbers, the Lucas quotient and Legendre
-symbols - are what the closed-form numerical congruences evaluate to.
+polylog, Tr(v pounds_s(u)) = sum_k k^-s Tr(v u^k), and pounds_from_traces
+takes it from the integer sequence Tr(v u^k) without forming the polylog;
+pounds on a GaloisElt is the element-level reference.  The constants
+gathered here - Fermat quotients, Euler and Bernoulli numbers, the Lucas
+quotient and Legendre symbols - are what the closed-form numerical
+congruences evaluate to.
 """
 
 import functools
@@ -60,19 +62,15 @@ def _weight_ints(p, e, s):
     return tuple(int(v) for v in _weights(p, e, s))
 
 
-def trace_pounds(s, u, v=None):
-    """Tr(v * pounds_s(u)) for ring elements u and v (v = 1 when None).
+def pounds_from_traces(s, traces, p, e):
+    """sum_{k=1}^{p-1} k^-s traces[k] mod p^e.
 
-    sum_k k^-s Tr(v u^k) over the traces from GaloisRing.power_traces, which
-    follow the linear recurrence of u's characteristic polynomial: no ring
-    element is built per k.  Returns an int mod p^e.
+    When traces[k] = Tr(v u^k) this is Tr(v pounds_s(u)): a polylog trace
+    is a weighted sum of one integer sequence, and no ring element is built.
     """
     if s not in ORDERS:
         raise ValueError(f"unsupported polylog order {s}")
-    ring = u.ring
-    p, e = ring.ctx.p, ring.ctx.e
-    t = ring.power_traces(u, p - 1, v)
-    return sum(map(operator.mul, _weight_ints(p, e, s), t[1:])) % ring.ctx.modulus
+    return sum(map(operator.mul, _weight_ints(p, e, s), traces[1:p])) % p ** e
 
 
 def fermat_quotient(x, p, out_precision=1):

@@ -1,17 +1,27 @@
-"""Exact arithmetic in Z/p^e and in quotient rings Z/p^e[c]/(g).
+"""Exact arithmetic in Z/p^e, integer sequences of root sums, and quotient rings.
 
-The quotient rings are built on a monic g that is squarefree mod p, such as
-the unfactored root polynomial.  Such a ring is the product of the Galois
-rings of g's lifted irreducible factors, so the trace of multiplication by
-F(c) is the sum of F over all roots of g and its characteristic polynomial
-is the product of the per-factor ones: how g factors never has to be known.
-An element is a unit exactly when it is coprime to g mod p.  The roots
-themselves are never enumerated.
+Root sums are computed as integer sequences.  For a monic f, the roots'
+images u = (a c + b)/(gamma c + delta) are the roots of image_poly; the
+power sums of a monic polynomial (power_sums) are the traces Tr(u^k), and
+past its degree they follow its linear recurrence (extend_recurrence), as
+does Tr(v u^k) for any fixed v.  jump gives t^N mod the polynomial, from
+which any single term of such a sequence is one dot product, and
+from_power_sums recovers a characteristic polynomial by Newton's
+identities.  All of it runs on Python ints.
+
+The quotient rings Z/p^e[c]/(g) (GaloisRing) are the element-level
+reference the tests hold those sequences to.  They are built on a monic g
+that is squarefree mod p, such as the unfactored root polynomial.  Such a
+ring is the product of the Galois rings of g's lifted irreducible factors,
+so the trace of multiplication by F(c) is the sum of F over all roots of g
+and its characteristic polynomial is the product of the per-factor ones.
+An element is a unit exactly when it is coprime to g mod p.
 
 All values are immutable after construction and all operations are pure, so
 contexts, rings and elements can be shared freely across workers.
 """
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _gfpoly, kernels
-from .errors import DenominatorNotUnit, ModulusTooLarge, NotAUnit
+from .errors import DenominatorNotUnit, ModulusTooLarge, NonUnitDenominator, NotAUnit
 from .primes import is_prime
 
 # Largest modulus M with M*(M+1) < 2**63: products of reduced residues and
@@ -232,6 +242,79 @@ def extend_recurrence(poly, head, count, m):
     return t[:count + 1]
 
 
+def from_power_sums(sums, m):
+    """The monic polynomial of degree n whose roots have power sums sums[1..n], mod m.
+
+    Newton's identities k e_k = sum_i (-1)^(i-1) e_(k-i) P_i divide only by
+    1..n, which must be units mod m.  Coefficients lowest degree first.
+    """
+    n = len(sums) - 1
+    e = [1]
+    for k in range(1, n + 1):
+        acc = sum((-1) ** (i - 1) * e[k - i] * sums[i] for i in range(1, k + 1))
+        e.append(acc * pow(k, -1, m) % m)
+    return [(-1) ** (n - j) * e[n - j] % m for j in range(n + 1)]
+
+
+def image_poly(f, mobius, m):
+    """The monic polynomial whose roots are u = (a c + b)/(gamma c + delta) over the roots c of f.
+
+    f is monic, coefficients lowest degree first; mobius is (a, b, gamma,
+    delta).  The polynomial is sum_j f_j (delta u - b)^j (a - gamma u)^(n-j),
+    divided by its leading coefficient, the norm of gamma c + delta.  When
+    that is not a unit, u is undefined and NonUnitDenominator is raised.
+    Its power sums are the traces Tr(u^k) in Z/m[c]/(f).
+    """
+    a, b, gamma, delta = mobius
+
+    def times(poly, c0, c1):
+        """poly * (c0 + c1 u)."""
+        return [(c0 * hi + c1 * lo) % m for lo, hi in zip([0] + poly, poly + [0])]
+
+    n = len(f) - 1
+    acc, den = [f[n] % m], [1]
+    for j in range(n - 1, -1, -1):
+        den = times(den, a, -gamma)                    # (a - gamma u)^(n-j)
+        acc = [(s + f[j] * d) % m for s, d in zip(times(acc, -b, delta), den)]
+    if math.gcd(acc[n], m) != 1:
+        raise NonUnitDenominator(f"u = ({a} c + {b})/({gamma} c + {delta}) is undefined mod {m}")
+    inv = pow(acc[n], -1, m)
+    return tuple(v * inv % m for v in acc)
+
+
+def mulmod(a, b, chi, m):
+    """a * b mod the monic chi, for a and b of deg(chi) coefficients each."""
+    n = len(chi) - 1
+    prod = [0] * (2 * n - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
+    for i in range(2 * n - 2, n - 1, -1):
+        top = prod[i] % m
+        if top:
+            for j in range(n):
+                prod[i - n + j] -= top * chi[j]
+    return [v % m for v in prod[:n]]
+
+
+def jump(chi, exponent, m):
+    """t^exponent mod the monic chi, by square-and-multiply on Python ints.
+
+    For any sequence t_k obeying chi's recurrence, such as Tr(v u^k) when
+    chi is u's characteristic polynomial, t_(exponent+j) is the dot product
+    of the result with t_j..t_(j+n-1), n = deg(chi).
+    """
+    n = len(chi) - 1
+    step = [-c % m for c in chi[:n]]
+    q = [1 % m] + [0] * (n - 1)
+    for bit in bin(exponent)[2:]:
+        q = mulmod(q, q, chi, m)
+        if bit == "1":  # times t: shift up, fold the top term back through chi
+            q = [(lo + q[-1] * s) % m for lo, s in zip([0] + q[:-1], step)]
+    return q
+
+
 class GaloisRing:
     """The quotient Z/p^e[c]/(g) for a monic g squarefree mod p.
 
@@ -251,8 +334,6 @@ class GaloisRing:
             [pow(k, -1, self.ctx.modulus) for k in range(1, self.degree + 1)],
             dtype=np.int64,
         )
-        # Tr(c^i) for i < deg(g), dotted with coefficient vectors in power_traces
-        self._gen_traces = power_sums(modpoly.coeffs, self.degree - 1, self.ctx.modulus)
 
     def elt(self, coeffs):
         m = self.ctx.modulus
@@ -321,8 +402,8 @@ class GaloisRing:
         """Characteristic polynomial of multiplication by a.
 
         Its coefficients are the signed elementary symmetric functions of a
-        evaluated at the roots of g.  For a = a0 + b*c it is
-        sum_j g_j b^(n-j) (T - a0)^j, straight from g; otherwise
+        evaluated at the roots of g.  For a = a0 + b*c it is the image
+        polynomial of c -> b c + a0, straight from g; otherwise
         Faddeev-LeVerrier, which divides only by 1..deg(g), all units mod
         p^e since deg(g) < p.
         """
@@ -331,50 +412,10 @@ class GaloisRing:
         if affine is None:
             mat = kernels.mult_matrix(a.coeffs, self._g, m)
             coeffs = kernels.fl_charpoly(mat, self._fl_inverses, m)
-            return MonicPoly(tuple(int(v) for v in coeffs), self.ctx)
-        if affine == (0, 1):
-            return self.modpoly
-        a0, b = affine
-        coeffs = [0] * (self.degree + 1)
-        shift = [1]  # (T - a0)^j
-        for j, gj in enumerate(self.modpoly.coeffs):
-            scale = gj * pow(b, self.degree - j, m)
-            for i, si in enumerate(shift):
-                coeffs[i] = (coeffs[i] + scale * si) % m
-            shift = [(lo - a0 * hi) % m for lo, hi in zip([0] + shift, shift + [0])]
-        return MonicPoly(tuple(coeffs), self.ctx)
-
-    def power_traces(self, u, count, v=None):
-        """[Tr(v u^k) for k = 0..count], v = 1 when None.
-
-        The sequence obeys the linear recurrence of u's characteristic
-        polynomial, so only its first deg(g) terms need more than integer
-        arithmetic: none when v = 1 (Newton's power sums), a shift-and-reduce
-        step each when u = a0 + b*c, and a ring product each otherwise.
-        """
-        m, n = self.ctx.modulus, self.degree
-        chi = self.charpoly(u).coeffs
-        if v is None:
-            return power_sums(chi, count, m)
-        affine = self._affine(u)
-        head = []
-        if affine is None:
-            term = v
-            for _ in range(n):
-                head.append(int(self.trace(term)))
-                term = term * u
         else:
             a0, b = affine
-            g = self.modpoly.coeffs
-            gen_traces = self._gen_traces
-            term = v.coeffs.tolist()
-            for _ in range(n):
-                head.append(sum(map(operator.mul, term, gen_traces)) % m)
-                # (a0 + b c) * term, with c^n = -sum_i g_i c^i
-                top = term[-1]
-                term = [(a0 * t + b * (lo - top * gi)) % m
-                        for t, lo, gi in zip(term, [0] + term[:-1], g)]
-        return extend_recurrence(chi, head, count, m)
+            coeffs = image_poly(self.modpoly.coeffs, (b, a0, 0, 1), m)
+        return MonicPoly(tuple(int(v) for v in coeffs), self.ctx)
 
     def weighted_powers(self, a, weights):
         """sum_k weights[k-1] * a^k; the workhorse behind finite polylogarithms."""

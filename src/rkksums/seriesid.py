@@ -9,6 +9,7 @@ brackets.  No floating point, no tolerances.
 import functools
 import math
 from fractions import Fraction
+from types import MappingProxyType
 
 MAX_SERIES_ORDER = 100
 MAX_IDENTITY_N = 60
@@ -273,10 +274,13 @@ def power_sums(r, n):
     return s, derivs
 
 
+@functools.lru_cache(maxsize=32)
 def identity_sides(r, n):
     """LHS and RHS polynomials of the three binomial/power-sum identities.
 
-    Returns a dict: key -> (lhs PolyQ, rhs PolyQ) for keys 'id0', 'id1b', 'id2b'.
+    Returns a read-only mapping: key -> (lhs PolyQ, rhs PolyQ) for keys
+    'id0', 'id1b', 'id2b'.  Cached, so the identities tag's verdict rows and
+    its differentiation ladder build the polynomials once.
     """
     s, sprime = power_sums(r, n)
     lhs0 = PolyQ([Fraction(math.comb(r * k, k)) for k in range(n)][::-1])
@@ -306,7 +310,7 @@ def identity_sides(r, n):
         prefix = prefix + sk_minus_r.scale(Fraction(1, k))
         rhs2b = rhs2b + prefix.scale(b * sign / k)
     rhs2 = rhs2a.scale(-(r - 1)) + rhs2b.scale(r)
-    return {"id0": (lhs0, rhs0), "id1b": (lhs1, rhs1), "id2b": (lhs2, rhs2)}
+    return MappingProxyType({"id0": (lhs0, rhs0), "id1b": (lhs1, rhs1), "id2b": (lhs2, rhs2)})
 
 
 def check_identities(r, n):

@@ -2,10 +2,17 @@
 
 Every congruence has one shape.  Its left-hand side is a brute-force sum of
 binom(rk,k) x^k / k^d over a range of k (binomsums).  Its right-hand side is
-computed independently: symmetric functions of all roots of
-x(c-1)^r + c^(r-1), which are traces or characteristic polynomials in one
-algebra Z/p^e[c]/(f) on the unfactored f (modring, finlog.trace_pounds),
-and special constants (finlog).  A verdict is an exact equality of residues.
+computed independently: symmetric functions of all roots c of
+x(c-1)^r + c^(r-1), and special constants (finlog).  A verdict is an exact
+equality of residues.
+
+The symmetric functions (RootSums) are integer sequences mod p^e.  Each
+quantity is a Newton power sum of the polynomial whose roots are a Moebius
+image of c (1-c, 1/c, 1-1/c, 1/(1-c), c/(c-1), 1/(r-1+c); modring.image_poly),
+or a scalar sequence obeying such a polynomial's recurrence, whose p-th term
+comes from one jump t^p mod that polynomial (modring.jump).  No ring element
+is built on this path; GaloisRing and the factoring in polyfactor are the
+reference the tests compare with.
 
 FAMILIES has one row per CLI tag: the grid it walks, its precision, its
 scope, its skip-row ids and the function computing its rows.  One guard
@@ -16,6 +23,8 @@ the root sums, so each checker keeps only its mathematics.
 """
 
 import functools
+import math
+import operator
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -23,15 +32,28 @@ from fractions import Fraction
 
 from . import finlog, seriesid
 from .binomsums import full_range, lhs_sum, lhs_sums, range_A_star, short_range
-from .errors import DenominatorNotUnit, NonUnitDenominator, NotAUnit
-from .finlog import constants_table, pounds, trace_pounds
-from .modring import GaloisRing, ModulusCtx, ResidueInt, as_rational, residue_from_rational
+from .errors import DenominatorNotUnit, NonUnitDenominator
+from .finlog import constants_table, pounds, pounds_from_traces
+from .modring import (
+    GaloisRing,
+    ModulusCtx,
+    ResidueInt,
+    as_rational,
+    extend_recurrence,
+    from_power_sums,
+    image_poly,
+    jump,
+    mulmod,
+    power_sums,
+    residue_from_rational,
+)
 from .polyfactor import (
     Degeneracy,
     RootPolySpec,
     build_root_poly,
     classify_residue,
     classify_x,
+    _synthetic_div,
     double_root_cofactor,
     x0_value,
 )
@@ -44,7 +66,8 @@ def _factor_rings(r, x, p, e):
 
     f is squarefree mod p for nondegenerate x, so this one ring is the
     product of the Galois rings of f's lifted factors: its trace is the sum
-    over all roots and its characteristic polynomial the product.
+    over all roots and its characteristic polynomial the product.  Root sums
+    never build it; it is the reference that RootSums.rings exposes.
     """
     f = build_root_poly(RootPolySpec(r, x, ModulusCtx(p, e)))
     return (GaloisRing(f),)
@@ -56,13 +79,87 @@ def _cofactor_rings(r, p, e):
     return root, (GaloisRing(cofactor),) if cofactor.degree else ()
 
 
-class RootSums:
-    """Cached trace aggregates over all roots of (r, x) at p^e.
+# Moebius images u = (a c + b)/(gamma c + delta) of a root c, as (a, b, gamma, delta)
+C = (1, 0, 0, 1)
+ONE_MINUS_C = (-1, 1, 0, 1)
+INV_C = (0, 1, 1, 0)
+ONE_MINUS_INV_C = (1, -1, 1, 0)
+W = (0, 1, -1, 1)              # 1/(1-c)
+Z = (1, 0, 1, -1)              # c/(c-1)
 
-    A sum that needs only Tr(v u^p) for u in {c, 1-c} takes it from
-    GaloisRing.power_traces, the linear recurrence of u's characteristic
-    polynomial; a p-th power is formed only where it must be inverted or
-    its base is not affine in c.
+
+def _dot(q, terms, m):
+    return sum(map(operator.mul, q, terms)) % m
+
+
+def _shift_traces(f, r, sums, m):
+    """T_0..T_len(sums), T_k = Tr(s c^k) over the roots c of f, s = 1/(r-1+c).
+
+    T_0 = P_1(s), and s c^(k+1) = c^k - (r-1) s c^k gives
+    T_(k+1) = P_k(c) - (r-1) T_k from sums = P_0(c), P_1(c), ...
+    """
+    chi_s = image_poly(f, (0, 1, 1, r - 1), m)
+    t = [-chi_s[-2] % m]
+    for pk in sums:
+        t.append((pk - (r - 1) * t[-1]) % m)
+    return t
+
+
+class _Image:
+    """The images u of all roots of one polynomial under one Moebius map.
+
+    chi is their monic polynomial, so the power sums P_k(u) = Tr(u^k) obey
+    its recurrence, and so does Tr(v u^k) for any fixed v: term k p of such
+    a sequence is a dot product with the jump t^(k p) mod chi.
+    """
+
+    __slots__ = ("chi", "p", "m", "head", "_jumps")
+
+    def __init__(self, chi, p, m):
+        self.chi, self.p, self.m = chi, p, m
+        self.head = tuple(power_sums(chi, len(chi) - 2, m))   # P_0..P_(n-1)
+        self._jumps = []
+
+    def jump(self, k=1):
+        """t^(k p) mod chi."""
+        jumps = self._jumps
+        if not jumps:
+            jumps.append(jump(self.chi, self.p, self.m))
+        while len(jumps) < k:
+            jumps.append(mulmod(jumps[-1], jumps[0], self.chi, self.m))
+        return jumps[k - 1]
+
+    def at_p(self, terms, k=1):
+        """Term k p of the sequence whose terms 0..n-1 are terms."""
+        return _dot(self.jump(k), terms, self.m)
+
+    def power_sum_p(self, k=1):
+        """P_(k p)(u)."""
+        return self.at_p(self.head, k)
+
+    def power_sums_below_p(self):
+        """P_0(u)..P_(p-1)(u), the sequence a polylog trace weighs."""
+        return power_sums(self.chi, self.p - 1, self.m)
+
+
+def _pth_power_sum(mobius):
+    """A cached RootSums attribute: P_p(u) for the image u of c under mobius."""
+    return functools.cached_property(lambda rs: rs._image(mobius).power_sum_p())
+
+
+def _polylog_trace(s, mobius):
+    """A cached RootSums attribute: Tr(pounds_s(u)) = sum_(k<p) k^-s P_k(u)."""
+    return functools.cached_property(lambda rs: pounds_from_traces(
+        s, rs._image(mobius).power_sums_below_p(), rs.p, rs.e))
+
+
+class RootSums:
+    """Cached root sums of (r, x) at p^e, as integer sequences.
+
+    Every quantity is a power sum of the polynomial whose roots are a
+    Moebius image of the roots c of f, or a scalar sequence that obeys such
+    a polynomial's recurrence; p-th terms come from one jump each.  No ring
+    element is built: rings (for reference checks) is made only on request.
     """
 
     def __init__(self, r, x, p, e):
@@ -70,128 +167,128 @@ class RootSums:
         self.x = x
         self.p = p
         self.e = e
-        self.ctx = ModulusCtx(p, e)
-        self.rings = _factor_rings(r, x, p, e)
-        (self.ring,) = self.rings
+        self.ctx = _ctx(p, e)
+        self.m = self.ctx.modulus
+        self._images = {}
+
+    @functools.cached_property
+    def rings(self):
+        return _factor_rings(self.r, self.x, self.p, self.e)
 
     def trace_sum(self, build):
-        m = self.ctx.modulus
-        return sum(int(build(ring).trace()) for ring in self.rings) % m
-
-    def _trace_pow_p(self, u, v=None):
-        """Tr(v u^p)."""
-        return self.ring.power_traces(u, self.p, v)[self.p]
+        return sum(int(build(ring).trace()) for ring in self.rings) % self.m
 
     @functools.cached_property
-    def _c(self):
-        return self.ring.gen()
+    def _f(self):
+        return build_root_poly(RootPolySpec(self.r, self.x, self.ctx)).coeffs
+
+    def _image(self, mobius):
+        if mobius not in self._images:
+            self._images[mobius] = _Image(image_poly(self._f, mobius, self.m), self.p, self.m)
+        return self._images[mobius]
 
     @functools.cached_property
-    def _one_minus_c(self):
-        return self.ring.one() - self._c
+    def _shift_traces(self):
+        """T_0..T_r, T_k = Tr(s c^k) with s = 1/(r-1+c)."""
+        return _shift_traces(self._f, self.r, self._image(C).head, self.m)
 
     @functools.cached_property
-    def _c_pow_p(self):
-        return self._c ** self.p
+    def _shift_trace_p(self):
+        """T_p = Tr(s c^p)."""
+        return self._image(C).at_p(self._shift_traces[:self.r])
 
     @functools.cached_property
-    def _inv_c_pow_p(self):
-        return self._c.inverse() ** self.p
+    def _shift_one_minus_trace_p(self):
+        """U_p = Tr(s (1-c)^p), from U_0 = T_0 and U_(k+1) = r U_k - P_k(1-c)."""
+        r, m = self.r, self.m
+        image = self._image(ONE_MINUS_C)
+        u = [self._shift_traces[0]]
+        for pk in image.head[:r - 1]:
+            u.append((r * u[-1] - pk) % m)
+        return image.at_p(u)
 
-    @functools.cached_property
-    def _inv_one_minus_c_pow_p(self):
-        return self._one_minus_c.inverse() ** self.p
-
-    @functools.cached_property
-    def _inv_shift(self):
-        """(r - 1 + c)^-1."""
-        return (self.ring.scalar(self.r - 1) + self._c).inverse()
-
-    @functools.cached_property
-    def sum_c_pow_p(self):
-        return self._trace_pow_p(self._c)
-
-    @functools.cached_property
-    def sum_one_minus_c_pow_p(self):
-        return self._trace_pow_p(self._one_minus_c)
-
-    @functools.cached_property
-    def sum_inv_c_pow_p(self):
-        return int(self._inv_c_pow_p.trace())
-
-    @functools.cached_property
-    def sum_one_minus_inv_c_pow_p(self):
-        # (1 - 1/c)^p = -(1-c)^p c^-p for odd p
-        return -self._trace_pow_p(self._one_minus_c, self._inv_c_pow_p) % self.ctx.modulus
-
-    @functools.cached_property
-    def sum_inv_one_minus_c_pow_p(self):
-        return int(self._inv_one_minus_c_pow_p.trace())
-
-    @functools.cached_property
-    def sum_cp_over_cm1_p(self):
-        # (c-1)^-p = -(1-c)^-p for odd p
-        return -self._trace_pow_p(self._c, self._inv_one_minus_c_pow_p) % self.ctx.modulus
-
-    @functools.cached_property
-    def sum_pounds1(self):
-        return trace_pounds(1, self._c)
+    sum_c_pow_p = _pth_power_sum(C)
+    sum_one_minus_c_pow_p = _pth_power_sum(ONE_MINUS_C)
+    sum_inv_c_pow_p = _pth_power_sum(INV_C)
+    sum_one_minus_inv_c_pow_p = _pth_power_sum(ONE_MINUS_INV_C)
+    sum_inv_one_minus_c_pow_p = _pth_power_sum(W)
+    sum_cp_over_cm1_p = _pth_power_sum(Z)
+    sum_pounds1 = _polylog_trace(1, C)
+    sum_pounds2_c = _polylog_trace(2, C)
+    sum_pounds2_one_minus_c = _polylog_trace(2, ONE_MINUS_C)
 
     @functools.cached_property
     def sum_pounds1_short(self):
-        return trace_pounds(1, self._c, self._inv_one_minus_c_pow_p)
+        """Tr(pounds_1(c) w^p), w = 1/(1-c).
 
-    @functools.cached_property
-    def sum_pounds2_c(self):
-        return trace_pounds(2, self._c)
-
-    @functools.cached_property
-    def sum_pounds2_one_minus_c(self):
-        return trace_pounds(2, self._one_minus_c)
+        c^j = (1 - 1/w)^j gives Tr(c^j w^p) = sum_i C(j,i) (-1)^i P_(p-i)(w)
+        for j < r; f's recurrence continues the sequence in j.
+        """
+        r, p, m = self.r, self.p, self.m
+        w = self._image(W)
+        q = jump(w.chi, p - r + 1, m)
+        sums = extend_recurrence(w.chi, w.head, 2 * r - 2, m)
+        tail = [_dot(q, sums[j:j + r], m) for j in range(r)]   # P_(p-r+1)..P_p(w)
+        head = [sum((-1) ** i * math.comb(j, i) * tail[r - 1 - i] for i in range(j + 1)) % m
+                for j in range(r)]
+        return pounds_from_traces(1, extend_recurrence(self._f, head, p - 1, m), p, self.e)
 
     @functools.cached_property
     def sum_rkk_long(self):
-        return int(((self._c - self._c_pow_p) * self._inv_shift).trace())
+        """Tr((c - c^p) s) = T_1 - T_p."""
+        return (self._shift_traces[1] - self._shift_trace_p) % self.m
 
     @functools.cached_property
     def sum_rkk_short(self):
-        c = self._c
-        denom = (self.ring.one() - self._c_pow_p) * (self.ring.scalar(self.r - 1) + c)
-        try:
-            inv = denom.inverse()
-        except NotAUnit as exc:
-            raise NonUnitDenominator(str(exc)) from exc
-        return int(((c - self._c_pow_p) * inv).trace())
+        """Tr((c - c^p) s / (1 - c^p)) = T_0 + Tr(s (c - 1) / (1 - c^p)).
 
-    def _bracket_trace(self, q, k):
-        """Tr(q * (k - (r-1) c^p - r (1-c)^p))."""
+        With h the characteristic polynomial of c^p and
+        g(t) = (h(t) - h(1))/(t - 1), 1/(1 - c^p) = g(c^p)/h(1), so the
+        second term is h(1)^-1 sum_j g_j (T_(jp+1) - T_(jp)).
+        """
+        r, m = self.r, self.m
+        c, t = self._image(C), self._shift_traces
+        h = from_power_sums([r] + [c.power_sum_p(k) for k in range(1, r + 1)], m)
+        g, h_at_one = _synthetic_div(h, 1, m)
+        if math.gcd(h_at_one, m) != 1:
+            raise NonUnitDenominator(f"1 - c^p is not a unit mod {m}")
+        acc = g[0] * (t[1] - t[0]) + sum(
+            gj * (c.at_p(t[1:], j) - c.at_p(t[:r], j)) for j, gj in enumerate(g[1:], 1))
+        return (t[0] + acc * pow(h_at_one, -1, m)) % m
+
+    def _bracket_trace(self, k):
+        """Tr(s (k - (r-1) c^p - r (1-c)^p))."""
         r = self.r
-        return (
-            k * int(q.trace())
-            - (r - 1) * self._trace_pow_p(self._c, q)
-            - r * self._trace_pow_p(self._one_minus_c, q)
-        ) % self.ctx.modulus
+        return (k * self._shift_traces[0] - (r - 1) * self._shift_trace_p
+                - r * self._shift_one_minus_trace_p)
 
     @functools.cached_property
     def sum_mod2_full(self):
-        # (c-1)/(r-1+c) times the bracket with k = r
-        q = -(self._one_minus_c * self._inv_shift)
-        return self._bracket_trace(q, self.r)
+        """Tr((c-1) s (r - (r-1) c^p - r (1-c)^p)), with (c-1) s = 1 - r s."""
+        r = self.r
+        plain = r * r - (r - 1) * self.sum_c_pow_p - r * self.sum_one_minus_c_pow_p
+        return (plain - r * self._bracket_trace(r)) % self.m
 
     @functools.cached_property
     def sum_mod2_open(self):
-        # r/(r-1+c) times the bracket with k = r-1
-        return self.r * self._bracket_trace(self._inv_shift, self.r - 1) % self.ctx.modulus
+        """Tr(r s (r-1 - (r-1) c^p - r (1-c)^p))."""
+        return self.r * self._bracket_trace(self.r - 1) % self.m
 
     @functools.cached_property
     def z_inverse_pow_p_charpoly(self):
-        """Coefficients of prod_i (T - (c_i/(c_i-1))^p), lowest degree first."""
-        c = self._c
-        w = (c * (c - self.ring.one()).inverse()) ** self.p
-        return self.ring.charpoly(w).coeffs
+        """Coefficients of prod_i (T - (c_i/(c_i-1))^p), lowest degree first.
+
+        Newton's identities on P_p(z), P_2p(z), .., P_rp(z), z = c/(c-1).
+        """
+        z = self._image(Z)
+        sums = [self.r] + [z.power_sum_p(k) for k in range(1, self.r + 1)]
+        return tuple(from_power_sums(sums, self.m))
 
 
-@functools.lru_cache(maxsize=512)
+# The grid walk asks for a key only while it is at that key's point (at
+# most three precisions per point), so a small cache keeps every repeat;
+# a larger one only holds finished points' sequences in memory.
+@functools.lru_cache(maxsize=64)
 def root_sums(r, x, p, e):
     return RootSums(r, x, p, e)
 
@@ -441,12 +538,16 @@ def check_rkkmod2_var(pt):
 
 
 def _cofactor_trace(ring, r):
-    """Tr(q * (c^p + r p pounds_1(c))) with q = (c-1)/(r-1+c), in ring."""
-    p = ring.ctx.p
-    c = ring.gen()
-    q = (c - ring.one()) * (ring.scalar(r - 1) + c).inverse()
-    q_c_pow_p = ring.power_traces(c, p, q)[p]
-    return (q_c_pow_p + r * p * trace_pounds(1, c, q)) % ring.ctx.modulus
+    """Tr(q * (c^p + r p pounds_1(c))) with q = (c-1)/(r-1+c), in ring.
+
+    Computed from ring.modpoly alone: Tr(q c^k) = P_k(c) - r T_k, since
+    q = 1 - r s with s = 1/(r-1+c).
+    """
+    g, ctx = ring.modpoly.coeffs, ring.ctx
+    p, m = ctx.p, ctx.modulus
+    sums = power_sums(g, p, m)
+    q = [(pk - r * tk) % m for pk, tk in zip(sums, _shift_traces(g, r, sums[:p], m))]
+    return (q[p] + r * p * pounds_from_traces(1, q, p, ctx.e)) % m
 
 
 def check_rkkmod2_multiple(r, p):

@@ -245,3 +245,29 @@ def test_json_template_matches_json_dumps():
     assert any(row["x_num"] is None for row in rows)
     assert render_json(reports) == json.dumps(rows, indent=2) + "\n"
     assert render_json([]) == json.dumps([], indent=2) + "\n"
+
+
+def test_a_crash_exits_3_with_one_internal_error_line(monkeypatch, capsys):
+    # a bug in a checker is not a failed congruence: exit 3, not 1
+    from rkksums import theorems
+
+    def broken(r, x, p):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(theorems, "check_rkksuk", broken)
+    code = cli.main(["--r", "2", "--primes", "11", "--x", "3", "--theorems", "rkksuk"])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 3
+    assert err == ["internal error: tag=rkksuk, r=2, p=11, x=3: RuntimeError: boom"]
+
+
+def test_repeated_x_and_tags_are_merged(capsys):
+    # a repeated value is one check: the report and its counts match the plain run
+    assert cli.main(["--r", "2", "--primes", "7", "--x", "2,2",
+                     "--theorems", "rkksuk,rkksuk"]) == 0
+    repeated = capsys.readouterr()
+    assert cli.main(["--r", "2", "--primes", "7", "--x", "2", "--theorems", "rkksuk"]) == 0
+    plain = capsys.readouterr()
+    assert repeated.out == plain.out and len(json.loads(plain.out)) == 1
+    assert "checks=1 " in repeated.err
+    assert repeated.err.splitlines()[:-1] == plain.err.splitlines()[:-1]  # all but wall time
