@@ -23,7 +23,11 @@ __version__ = "0.1.0"
 
 
 def engine():
-    """Name of the kernel engine: always "numpy" (Python loops on int64 arrays)."""
+    """The label of the one interpreted engine (Python loops on Python ints).
+
+    It stays "numpy" so that reports and benchmark runs stay comparable with
+    earlier ones, which ran on NumPy arrays.
+    """
     return "numpy"
 
 

@@ -2,17 +2,16 @@
 
 Binomial coefficients are taken exactly (big integers) and reduced mod p^e,
 so the tables are immune to p-adic valuation mistakes; an O(p) kernel then
-accumulates the weighted geometric sum, for one x (lhs_sum) or for an array
-of x in one pass (lhs_sums).  Ranges follow the vanishing pattern
-of binom(rk,k) mod p: inside [0, p) the coefficient is a unit only on the
-intervals A(r,m) = { k : (m-1)p/(r-1) <= k < mp/r } for 0 < m < r.
+accumulates the weighted geometric sum, for one x (lhs_sum) or for a list
+of x over one table of terms (lhs_sums).  Tables are cached tuples of
+Python ints.  Ranges follow the vanishing pattern of binom(rk,k) mod p:
+inside [0, p) the coefficient is a unit only on the intervals
+A(r,m) = { k : (m-1)p/(r-1) <= k < mp/r } for 0 < m < r.
 """
 
 import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import kernels
 from .errors import ZeroInRange
@@ -61,7 +60,13 @@ def short_range(r, p, include_zero=False):
 def binom_table(r, p, e):
     """binom(rk,k) mod p^e for 0 <= k < p, from exact integer binomials."""
     m = p ** e
-    return np.array([math.comb(r * k, k) % m for k in range(p)], dtype=np.int64)
+    return tuple(math.comb(r * k, k) % m for k in range(p))
+
+
+@functools.lru_cache(maxsize=None)
+def _k_weights(p, e, d):
+    """k^-d mod p^e for 0 <= k < p; the k = 0 entry is 1, read only when d = 0."""
+    return (1,) + _weights(p, e, d)
 
 
 def _terms(r, d, sum_range, ctx):
@@ -74,11 +79,7 @@ def _terms(r, d, sum_range, ctx):
         return None
     if sum_range.hi > ctx.p:
         raise ValueError(f"range {sum_range} exceeds k < p = {ctx.p}")
-    table = binom_table(r, ctx.p, ctx.e)
-    if d == 0:
-        return table, _ONES(ctx.p)
-    w = _weights(ctx.p, ctx.e, d)
-    return table, np.concatenate((np.ones(1, dtype=np.int64), w))
+    return binom_table(r, ctx.p, ctx.e), _k_weights(ctx.p, ctx.e, d)
 
 
 def _residue(x, ctx):
@@ -99,17 +100,12 @@ def lhs_sum(r, x, d, sum_range, ctx):
 def lhs_sums(r, xs, d, sum_range, ctx):
     """lhs_sum's value for every x in xs, as a list of ints mod p^e.
 
-    One pass over k sums for all x at once, over the same binomial table.
+    The table of terms binom(rk,k) k^-d is formed once for all x.
     """
     terms = _terms(r, d, sum_range, ctx)
     if terms is None or not xs:
         return [0] * len(xs)
-    xv = np.array([_residue(x, ctx) for x in xs], dtype=np.int64)
+    xv = [_residue(x, ctx) for x in xs]
     return kernels.weighted_geometric_sum(
         *terms, xv, sum_range.lo, sum_range.hi, ctx.modulus
-    ).tolist()
-
-
-@functools.lru_cache(maxsize=None)
-def _ONES(p):
-    return np.ones(p, dtype=np.int64)
+    )

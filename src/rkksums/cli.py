@@ -5,7 +5,7 @@ this module only parses the sweep, draws the x values and runs the tasks.
 
 Exit codes: 0 when every executed check passes (skips allowed), 1 when any
 check fails, 2 on configuration errors and on inputs the package refuses
-(such as a modulus p^e beyond the int64-safe bound), 3 when the program
+(such as a modulus p^e beyond MAX_MODULUS), 3 when the program
 itself breaks: any other exception, reported as one "internal error:" line
 naming the task, so a crash never reads as a failed congruence.
 """
@@ -15,7 +15,6 @@ import os
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -158,7 +157,7 @@ def build_tasks(config):
 
 
 def run(config):
-    """Execute all selected checks; returns (summary, sorted reports)."""
+    """Execute all selected checks serially; returns (summary, sorted reports)."""
     start = time.perf_counter()
     tasks = build_tasks(config)
     reports = []
@@ -170,13 +169,8 @@ def run(config):
             for item in result:
                 consume(item)
 
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            for result in pool.map(lambda t: t(), tasks):
-                consume(result)
-    else:
-        for task in tasks:
-            consume(task())
+    for task in tasks:
+        consume(task())
 
     reports.sort(key=lambda rep: rep.sort_key())
     summary = RunSummary()
@@ -206,12 +200,13 @@ def build_parser():
     parser.add_argument("--identity-n", type=int, default=20, metavar="N")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--out", default=None, metavar="PATH")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N")
+    parser.add_argument("--jobs", type=int, default=1, metavar="N",
+                        help="accepted for compatibility; runs are always serial")
     return parser
 
 
 def available_cpus():
-    """CPUs this process may run on; --jobs is capped at this many threads."""
+    """CPUs this process may run on; --jobs is capped at this many."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without CPU affinity

@@ -46,4 +46,4 @@ class ConfigError(RkksumsError):
 
 
 class ModulusTooLarge(RkksumsError, ValueError):
-    """p^e exceeds the largest modulus the int64 kernels can carry."""
+    """p^e exceeds MAX_MODULUS, the largest modulus the package accepts."""

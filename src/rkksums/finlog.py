@@ -5,7 +5,8 @@ actually used are s = 0 (a rational function), s = 1 (truncated logarithm)
 and s = 2 (finite dilogarithm).  Root sums only ever need the trace of a
 polylog, Tr(v pounds_s(u)) = sum_k k^-s Tr(v u^k), and pounds_from_traces
 takes it from the integer sequence Tr(v u^k) without forming the polylog;
-pounds on a GaloisElt is the element-level reference.  The constants
+pounds on a GaloisElt is the element-level reference.  The weights k^-s
+are one cached tuple of Python ints per (p, e, s).  The constants
 gathered here - Fermat quotients, Euler and Bernoulli numbers, the Lucas
 quotient and Legendre symbols - are what the closed-form numerical
 congruences evaluate to.
@@ -17,8 +18,6 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from . import kernels
 from .errors import DivisibilityFailure
@@ -32,14 +31,7 @@ ORDERS = (0, 1, 2)
 def _weights(p, e, s):
     """k^-s mod p^e for k = 1..p-1, the inner-loop coefficient table."""
     m = p ** e
-    if s == 0:
-        return np.ones(p - 1, dtype=np.int64)
-    inv = np.empty(p - 1, dtype=np.int64)
-    for k in range(1, p):
-        inv[k - 1] = pow(k, -1, m)
-    if s == 1:
-        return inv
-    return (inv * inv) % m
+    return tuple(pow(k, -s, m) for k in range(1, p))
 
 
 def pounds(s, u):
@@ -48,18 +40,13 @@ def pounds(s, u):
         raise ValueError(f"unsupported polylog order {s}")
     if isinstance(u, ResidueInt):
         ctx = u.ctx
-        w = _weights(ctx.p, ctx.e, s).tolist()
+        w = _weights(ctx.p, ctx.e, s)
         return ResidueInt(kernels.weighted_powers_scalar(u.value, w, ctx.modulus), ctx)
     if isinstance(u, GaloisElt):
         ctx = u.ring.ctx
         w = _weights(ctx.p, ctx.e, s)
         return u.ring.weighted_powers(u, w)
     raise TypeError(f"cannot evaluate pounds on {type(u).__name__}")
-
-
-@functools.lru_cache(maxsize=None)
-def _weight_ints(p, e, s):
-    return tuple(int(v) for v in _weights(p, e, s))
 
 
 def pounds_from_traces(s, traces, p, e):
@@ -70,7 +57,7 @@ def pounds_from_traces(s, traces, p, e):
     """
     if s not in ORDERS:
         raise ValueError(f"unsupported polylog order {s}")
-    return sum(map(operator.mul, _weight_ints(p, e, s), traces[1:p])) % p ** e
+    return sum(map(operator.mul, _weights(p, e, s), traces[1:p])) % p ** e
 
 
 def fermat_quotient(x, p, out_precision=1):

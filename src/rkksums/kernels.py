@@ -1,46 +1,44 @@
-"""Hot numeric kernels: modular sums and polynomial arithmetic.
+"""Hot numeric kernels: modular sums and polynomial arithmetic on Python ints.
 
-Every residue lives in [0, mod) with mod*(mod+1) < 2**63, so a product of two
-residues plus a residue never overflows a signed 64-bit integer and every
-intermediate is reduced before the next multiplication.  Polynomials are
-coefficient arrays, lowest degree first; quotient polynomials g are monic of
-length m+1.
+Every residue is a Python int in [0, mod), so no product can overflow and
+the moduli the package accepts are bounded only by its input contract
+(modring.MAX_MODULUS).  Polynomials are lists (or tuples) of coefficients,
+lowest degree first; quotient polynomials g are monic of length m+1, and
+quotient-ring elements have m coefficients.
 
-The kernels are plain Python loops.  A scalar kernel loops over Python ints;
-the quotient-ring kernels loop over NumPy int64 arrays, and
-weighted_geometric_sum runs its one loop on a whole int64 array of x values
-at once.  This is the one engine the package has, reported as "numpy" by
-rkksums.engine().
+mulmod is the one product mod a monic polynomial: the root-sum sequences
+use it through modring.jump, and the quotient-ring reference kernels
+(poly_mulmod and the kernels built on it) through GaloisRing.  This is the
+one engine the package has, reported as "numpy" by rkksums.engine().
 """
 
-import numpy as np
+import operator
+
+
+def mulmod(a, b, chi, m):
+    """a * b mod the monic chi, for a and b of deg(chi) coefficients each."""
+    n = len(chi) - 1
+    prod = [0] * (2 * n - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
+    for i in range(2 * n - 2, n - 1, -1):
+        top = prod[i] % m
+        if top:
+            for j in range(n):
+                prod[i - n + j] -= top * chi[j]
+    return [v % m for v in prod[:n]]
 
 
 def poly_mulmod(a, b, g, mod):
-    """(a * b) reduced by the monic polynomial g, coefficients mod `mod`."""
-    m = g.shape[0] - 1
-    prod = np.zeros(2 * m - 1, dtype=np.int64)
-    for i in range(m):
-        ai = a[i]
-        if ai == 0:
-            continue
-        for j in range(m):
-            prod[i + j] = (prod[i + j] + ai * b[j]) % mod
-    for i in range(2 * m - 2, m - 1, -1):
-        top = prod[i]
-        if top == 0:
-            continue
-        prod[i] = 0
-        for j in range(m):
-            prod[i - m + j] = (prod[i - m + j] - top * g[j]) % mod
-    return prod[:m].copy()
+    """(a * b) reduced by the monic polynomial g: a quotient-ring product."""
+    return mulmod(a, b, g, mod)
 
 
 def poly_powmod(a, n, g, mod):
-    m = g.shape[0] - 1
-    out = np.zeros(m, dtype=np.int64)
-    out[0] = 1 % mod
-    base = a.copy()
+    out = [1 % mod] + [0] * (len(g) - 2)
+    base = list(a)
     while n > 0:
         if n & 1:
             out = poly_mulmod(out, base, g, mod)
@@ -59,105 +57,81 @@ def weighted_powers_scalar(t, w, mod):
 
 def weighted_powers_poly(u, w, g, mod):
     """sum_{k=1}^{len(w)} w[k-1] * u^k in the quotient ring by g."""
-    m = g.shape[0] - 1
-    acc = np.zeros(m, dtype=np.int64)
-    pw = np.zeros(m, dtype=np.int64)
-    pw[0] = 1 % mod
-    for k in range(w.shape[0]):
+    m = len(g) - 1
+    acc = [0] * m
+    pw = [1 % mod] + [0] * (m - 1)
+    for wk in w:
         pw = poly_mulmod(pw, u, g, mod)
-        wk = w[k]
-        if wk == 0:
-            continue
-        for i in range(m):
-            acc[i] = (acc[i] + wk * pw[i]) % mod
+        if wk:
+            acc = [(ai + wk * vi) % mod for ai, vi in zip(acc, pw)]
     return acc
 
 
 def weighted_geometric_sum(coefs, w, x, lo, hi, mod):
     """sum_{k=lo}^{hi-1} coefs[k] * w[k] * x^k  (mod mod), by Horner's rule.
 
-    x is a residue, either an int or a 1-D int64 array of residues; the
-    result has its type and shape.  An int x is summed in Python ints; an
-    array is summed for every entry at once, reduced after every
-    multiply-add, which stays below mod*(mod-1).
+    x is a residue, an int, or a list of residues; for a list the result is
+    the list of the sums at each of them, over the one table of terms.
     """
-    acc = x * 0
-    for t in reversed((coefs[lo:hi] * w[lo:hi] % mod).tolist()):
-        acc = (acc * x + t) % mod
-    # times x^lo, by squaring
-    while lo:
-        if lo & 1:
-            acc = acc * x % mod
-        x = x * x % mod
-        lo >>= 1
-    return acc
+    terms = list(map(operator.mul, coefs[lo:hi], w[lo:hi]))
+    terms.reverse()
+
+    def at(x):
+        acc = 0
+        for t in terms:
+            acc = (acc * x + t) % mod
+        return acc * pow(x, lo, mod) % mod
+
+    if isinstance(x, int):
+        return at(x)
+    return [at(xi) for xi in x]
+
+
+def _shift_reduce(col, g, mod):
+    """col * c reduced by the monic g, for col of deg(g) coefficients."""
+    top = col[-1]
+    col = [0] + col[:-1]
+    if top:
+        col = [(ci - top * gi) % mod for ci, gi in zip(col, g)]
+    return col
 
 
 def trace_mult(u, g, mod):
     """Trace of the multiplication-by-u operator on the basis 1, c, ..., c^(m-1)."""
-    m = g.shape[0] - 1
-    col = u.copy()
+    col = list(u)
     tr = col[0] % mod
-    for j in range(1, m):
-        top = col[m - 1]
-        for i in range(m - 1, 0, -1):
-            col[i] = col[i - 1]
-        col[0] = 0
-        if top != 0:
-            for i in range(m):
-                col[i] = (col[i] - top * g[i]) % mod
+    for j in range(1, len(g) - 1):
+        col = _shift_reduce(col, g, mod)
         tr = (tr + col[j]) % mod
     return tr
 
 
 def mult_matrix(u, g, mod):
-    """Matrix of multiplication by u; column j holds u * c^j reduced by g."""
-    m = g.shape[0] - 1
-    mat = np.zeros((m, m), dtype=np.int64)
-    col = u.copy()
-    for i in range(m):
-        mat[i, 0] = col[i] % mod
-    for j in range(1, m):
-        top = col[m - 1]
-        for i in range(m - 1, 0, -1):
-            col[i] = col[i - 1]
-        col[0] = 0
-        if top != 0:
-            for i in range(m):
-                col[i] = (col[i] - top * g[i]) % mod
-        for i in range(m):
-            mat[i, j] = col[i]
-    return mat
+    """Matrix of multiplication by u, as a list of rows; column j holds u * c^j reduced by g."""
+    cols = [[ci % mod for ci in u]]
+    for _ in range(1, len(g) - 1):
+        cols.append(_shift_reduce(cols[-1], g, mod))
+    return [list(row) for row in zip(*cols)]
 
 
 def fl_charpoly(mat, inv_table, mod):
     """Characteristic polynomial by the Faddeev-LeVerrier scheme.
 
-    inv_table[k-1] must hold the inverse of k mod `mod` for k = 1..m; these
-    are the only divisions performed, which keeps the scheme valid when the
-    modulus is a prime power.  Returns monic coefficients, lowest first.
+    mat is a list of rows.  inv_table[k-1] must hold the inverse of k mod
+    `mod` for k = 1..m; these are the only divisions performed, which keeps
+    the scheme valid when the modulus is a prime power.  Returns monic
+    coefficients, lowest first.
     """
-    m = mat.shape[0]
-    coeffs = np.zeros(m + 1, dtype=np.int64)
-    coeffs[m] = 1 % mod
-    acc = np.zeros((m, m), dtype=np.int64)
-    for i in range(m):
-        acc[i, i] = 1 % mod
+    m = len(mat)
+    coeffs = [0] * m + [1 % mod]
+    acc = [[int(i == j) % mod for j in range(m)] for i in range(m)]
     for k in range(1, m + 1):
-        an = np.zeros((m, m), dtype=np.int64)
-        for i in range(m):
-            for l in range(m):
-                a_il = mat[i, l]
-                if a_il == 0:
-                    continue
-                for j in range(m):
-                    an[i, j] = (an[i, j] + a_il * acc[l, j]) % mod
-        tr = 0
-        for i in range(m):
-            tr = (tr + an[i, i]) % mod
-        ck = (-tr * inv_table[k - 1]) % mod
+        an = [[sum(mat[i][l] * acc[l][j] for l in range(m)) % mod for j in range(m)]
+              for i in range(m)]
+        tr = sum(an[i][i] for i in range(m))
+        ck = -tr * inv_table[k - 1] % mod
         coeffs[m - k] = ck
         for i in range(m):
-            an[i, i] = (an[i, i] + ck) % mod
+            an[i][i] = (an[i][i] + ck) % mod
         acc = an
     return coeffs

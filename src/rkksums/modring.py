@@ -7,18 +7,20 @@ past its degree they follow its linear recurrence (extend_recurrence), as
 does Tr(v u^k) for any fixed v.  jump gives t^N mod the polynomial, from
 which any single term of such a sequence is one dot product, and
 from_power_sums recovers a characteristic polynomial by Newton's
-identities.  All of it runs on Python ints.
+identities.  All of it runs on Python ints, with products mod a
+polynomial taken by kernels.mulmod.
 
-The quotient rings Z/p^e[c]/(g) (GaloisRing) are the element-level
-reference the tests hold those sequences to.  They are built on a monic g
-that is squarefree mod p, such as the unfactored root polynomial.  Such a
-ring is the product of the Galois rings of g's lifted irreducible factors,
-so the trace of multiplication by F(c) is the sum of F over all roots of g
-and its characteristic polynomial is the product of the per-factor ones.
-An element is a unit exactly when it is coprime to g mod p.
+The quotient rings Z/p^e[c]/(g) (GaloisRing), whose elements are tuples of
+Python ints, are the element-level reference the tests hold those
+sequences to.  They are built on a monic g that is squarefree mod p,
+such as the unfactored root polynomial.  Such a ring is the product of the
+Galois rings of g's lifted irreducible factors, so the trace of
+multiplication by F(c) is the sum of F over all roots of g and its
+characteristic polynomial is the product of the per-factor ones.  An
+element is a unit exactly when it is coprime to g mod p.
 
 All values are immutable after construction and all operations are pure, so
-contexts, rings and elements can be shared freely across workers.
+contexts, rings and elements can be shared freely.
 """
 
 import math
@@ -26,14 +28,14 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import _gfpoly, kernels
 from .errors import DenominatorNotUnit, ModulusTooLarge, NonUnitDenominator, NotAUnit
+from .kernels import mulmod
 from .primes import is_prime
 
-# Largest modulus M with M*(M+1) < 2**63: products of reduced residues and
-# one further addition stay inside int64 inside the kernels.
+# The largest modulus p^e the package accepts.  Python ints are exact at any
+# size; the bound is part of the input contract, so a p^e above it is
+# refused with ModulusTooLarge rather than run.
 MAX_MODULUS = 3_037_000_498
 
 #: Rational evaluation points are plain fractions; any int or (num, den)
@@ -68,8 +70,7 @@ class ModulusCtx:
             raise ValueError(f"{self.p} is not an odd prime")
         if self.p ** self.e > MAX_MODULUS:
             raise ModulusTooLarge(
-                f"p^e = {self.p ** self.e} exceeds the overflow-safe "
-                f"modulus bound {MAX_MODULUS}"
+                f"p^e = {self.p ** self.e} exceeds the modulus bound {MAX_MODULUS}"
             )
 
     @property
@@ -186,9 +187,6 @@ class MonicPoly:
     def degree(self):
         return len(self.coeffs) - 1
 
-    def as_array(self):
-        return np.array(self.coeffs, dtype=np.int64)
-
     def reduce(self, e):
         ctx = self.ctx.reduce(e)
         return MonicPoly(tuple(ci % ctx.modulus for ci in self.coeffs), ctx)
@@ -282,22 +280,6 @@ def image_poly(f, mobius, m):
     return tuple(v * inv % m for v in acc)
 
 
-def mulmod(a, b, chi, m):
-    """a * b mod the monic chi, for a and b of deg(chi) coefficients each."""
-    n = len(chi) - 1
-    prod = [0] * (2 * n - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] += ai * bj
-    for i in range(2 * n - 2, n - 1, -1):
-        top = prod[i] % m
-        if top:
-            for j in range(n):
-                prod[i - n + j] -= top * chi[j]
-    return [v % m for v in prod[:n]]
-
-
 def jump(chi, exponent, m):
     """t^exponent mod the monic chi, by square-and-multiply on Python ints.
 
@@ -328,19 +310,13 @@ class GaloisRing:
         self.modpoly = modpoly
         self.ctx = modpoly.ctx
         self.degree = modpoly.degree
-        self._g = modpoly.as_array()
+        self._g = modpoly.coeffs
         self._g_mod_p = _gfpoly.trim([ci % self.ctx.p for ci in modpoly.coeffs])
-        self._fl_inverses = np.array(
-            [pow(k, -1, self.ctx.modulus) for k in range(1, self.degree + 1)],
-            dtype=np.int64,
-        )
 
     def elt(self, coeffs):
         m = self.ctx.modulus
-        arr = np.zeros(self.degree, dtype=np.int64)
-        for i, ci in enumerate(coeffs):
-            arr[i] = int(ci) % m
-        return GaloisElt(self, arr)
+        coeffs = [int(ci) % m for ci in coeffs]
+        return GaloisElt(self, coeffs + [0] * (self.degree - len(coeffs)))
 
     def scalar(self, k):
         return self.elt([k])
@@ -372,7 +348,7 @@ class GaloisRing:
     def inv(self, a):
         """Inverse via extended Euclid mod p, then Newton lifting to p^e."""
         p = self.ctx.p
-        a_mod_p = _gfpoly.trim([int(v) % p for v in a.coeffs])
+        a_mod_p = _gfpoly.trim([v % p for v in a.coeffs])
         v0 = _gfpoly.invert_mod(a_mod_p, self._g_mod_p, p)
         if v0 is None:
             raise NotAUnit(f"non-unit element {list(a.coeffs)} in {self!r}")
@@ -386,17 +362,15 @@ class GaloisRing:
 
     def trace(self, a):
         """Trace of multiplication by a: the sum of a over the roots of g."""
-        return ResidueInt(
-            int(kernels.trace_mult(a.coeffs, self._g, self.ctx.modulus)), self.ctx
-        )
+        return ResidueInt(kernels.trace_mult(a.coeffs, self._g, self.ctx.modulus), self.ctx)
 
     def _affine(self, a):
         """(a0, b) when a = a0 + b*c, else None."""
         if self.degree == 1:
-            return int(a.coeffs[0]), 0
-        if a.coeffs[2:].any():
+            return a.coeffs[0], 0
+        if any(a.coeffs[2:]):
             return None
-        return int(a.coeffs[0]), int(a.coeffs[1])
+        return a.coeffs[0], a.coeffs[1]
 
     def charpoly(self, a):
         """Characteristic polynomial of multiplication by a.
@@ -411,11 +385,12 @@ class GaloisRing:
         affine = self._affine(a)
         if affine is None:
             mat = kernels.mult_matrix(a.coeffs, self._g, m)
-            coeffs = kernels.fl_charpoly(mat, self._fl_inverses, m)
+            inverses = [pow(k, -1, m) for k in range(1, self.degree + 1)]
+            coeffs = kernels.fl_charpoly(mat, inverses, m)
         else:
             a0, b = affine
             coeffs = image_poly(self.modpoly.coeffs, (b, a0, 0, 1), m)
-        return MonicPoly(tuple(int(v) for v in coeffs), self.ctx)
+        return MonicPoly(tuple(coeffs), self.ctx)
 
     def weighted_powers(self, a, weights):
         """sum_k weights[k-1] * a^k; the workhorse behind finite polylogarithms."""
@@ -424,21 +399,18 @@ class GaloisRing:
             kernels.weighted_powers_poly(a.coeffs, weights, self._g, self.ctx.modulus),
         )
 
-    def reduce(self, e):
-        return GaloisRing(self.modpoly.reduce(e))
-
     def __repr__(self):
         return f"GaloisRing(deg={self.degree}, mod {self.ctx.p}^{self.ctx.e})"
 
 
 class GaloisElt:
-    """An element of a GaloisRing, wrapping an int64 coefficient vector."""
+    """An element of a GaloisRing: a tuple of deg(g) residues, lowest degree first."""
 
     __slots__ = ("ring", "coeffs")
 
     def __init__(self, ring, coeffs):
         self.ring = ring
-        self.coeffs = coeffs
+        self.coeffs = tuple(coeffs)
 
     def _coerce(self, other):
         if isinstance(other, GaloisElt):
@@ -453,7 +425,8 @@ class GaloisElt:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaloisElt(self.ring, (self.coeffs + o.coeffs) % self.ring.ctx.modulus)
+        m = self.ring.ctx.modulus
+        return GaloisElt(self.ring, ((a + b) % m for a, b in zip(self.coeffs, o.coeffs)))
 
     __radd__ = __add__
 
@@ -461,13 +434,15 @@ class GaloisElt:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaloisElt(self.ring, (self.coeffs - o.coeffs) % self.ring.ctx.modulus)
+        m = self.ring.ctx.modulus
+        return GaloisElt(self.ring, ((a - b) % m for a, b in zip(self.coeffs, o.coeffs)))
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaloisElt(self.ring, (o.coeffs - self.coeffs) % self.ring.ctx.modulus)
+        m = self.ring.ctx.modulus
+        return GaloisElt(self.ring, ((b - a) % m for a, b in zip(self.coeffs, o.coeffs)))
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -478,7 +453,8 @@ class GaloisElt:
     __rmul__ = __mul__
 
     def __neg__(self):
-        return GaloisElt(self.ring, (-self.coeffs) % self.ring.ctx.modulus)
+        m = self.ring.ctx.modulus
+        return GaloisElt(self.ring, (-a % m for a in self.coeffs))
 
     def __pow__(self, n):
         return self.ring.pow(self, n)
@@ -493,7 +469,7 @@ class GaloisElt:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return bool(np.all(self.coeffs == o.coeffs))
+        return self.coeffs == o.coeffs
 
     def __repr__(self):
         return f"GaloisElt({list(self.coeffs)} in {self.ring!r})"

@@ -55,14 +55,6 @@ class FactorSet:
     degenerate: bool
     ctx: ModulusCtx
 
-    def reduce(self, e):
-        return FactorSet(
-            tuple(f.reduce(e) for f in self.factors),
-            self.multiplicities,
-            self.degenerate,
-            self.ctx.reduce(e),
-        )
-
     def product(self):
         m = self.ctx.modulus
         acc = MonicPoly((1,), self.ctx)

@@ -34,6 +34,7 @@ from . import finlog, seriesid
 from .binomsums import full_range, lhs_sum, lhs_sums, range_A_star, short_range
 from .errors import DenominatorNotUnit, NonUnitDenominator
 from .finlog import constants_table, pounds, pounds_from_traces
+from .kernels import mulmod
 from .modring import (
     GaloisRing,
     ModulusCtx,
@@ -43,7 +44,6 @@ from .modring import (
     from_power_sums,
     image_poly,
     jump,
-    mulmod,
     power_sums,
     residue_from_rational,
 )
@@ -71,12 +71,6 @@ def _factor_rings(r, x, p, e):
     """
     f = build_root_poly(RootPolySpec(r, x, ModulusCtx(p, e)))
     return (GaloisRing(f),)
-
-
-@functools.lru_cache(maxsize=256)
-def _cofactor_rings(r, p, e):
-    root, cofactor = double_root_cofactor(r, p, e)
-    return root, (GaloisRing(cofactor),) if cofactor.degree else ()
 
 
 # Moebius images u = (a c + b)/(gamma c + delta) of a root c, as (a, b, gamma, delta)
@@ -113,12 +107,13 @@ class _Image:
     a sequence is a dot product with the jump t^(k p) mod chi.
     """
 
-    __slots__ = ("chi", "p", "m", "head", "_jumps")
+    __slots__ = ("chi", "p", "m", "head", "_jumps", "_below_p")
 
     def __init__(self, chi, p, m):
         self.chi, self.p, self.m = chi, p, m
         self.head = tuple(power_sums(chi, len(chi) - 2, m))   # P_0..P_(n-1)
         self._jumps = []
+        self._below_p = None
 
     def jump(self, k=1):
         """t^(k p) mod chi."""
@@ -139,7 +134,9 @@ class _Image:
 
     def power_sums_below_p(self):
         """P_0(u)..P_(p-1)(u), the sequence a polylog trace weighs."""
-        return power_sums(self.chi, self.p - 1, self.m)
+        if self._below_p is None:
+            self._below_p = power_sums(self.chi, self.p - 1, self.m)
+        return self._below_p
 
 
 def _pth_power_sum(mobius):
@@ -537,13 +534,13 @@ def check_rkkmod2_var(pt):
     ]
 
 
-def _cofactor_trace(ring, r):
-    """Tr(q * (c^p + r p pounds_1(c))) with q = (c-1)/(r-1+c), in ring.
+def _cofactor_trace(cofactor, r):
+    """Tr(q * (c^p + r p pounds_1(c))), q = (c-1)/(r-1+c), over the roots c of cofactor.
 
-    Computed from ring.modpoly alone: Tr(q c^k) = P_k(c) - r T_k, since
-    q = 1 - r s with s = 1/(r-1+c).
+    cofactor is a MonicPoly of degree >= 1.  Tr(q c^k) = P_k(c) - r T_k,
+    since q = 1 - r s with s = 1/(r-1+c).
     """
-    g, ctx = ring.modpoly.coeffs, ring.ctx
+    g, ctx = cofactor.coeffs, cofactor.ctx
     p, m = ctx.p, ctx.modulus
     sums = power_sums(g, p, m)
     q = [(pk - r * tk) % m for pk, tk in zip(sums, _shift_traces(g, r, sums[:p], m))]
@@ -558,13 +555,13 @@ def check_rkkmod2_multiple(r, p):
         return skip
     pt = Point(r, x0, p)
     m2 = p * p
-    double_root, cof_rings = _cofactor_rings(r, p, 2)
+    double_root, cofactor = double_root_cofactor(r, p, 2)
     lhs = pt.lhs(0, full_range(p, include_zero=True), 2)
     l1_at_root = pounds(1, ResidueInt(double_root, _ctx(p, 2))).value
     tail = p * r * (r - 2) * pow(r - 1, -1, m2) * l1_at_root
     head = ((r - 2 + 3 * p * r) * pow(r - 1, p - 1, m2) - tail) % m2
     term1 = 2 * pt.xp(2) * pow(3, -1, m2) * head
-    term2 = pt.xp(2) * sum(_cofactor_trace(R, r) for R in cof_rings)
+    term2 = pt.xp(2) * _cofactor_trace(cofactor, r) if cofactor.degree else 0
     return pt.report("rkkmod2_multiple", 2, lhs, term1 - term2)
 
 

@@ -143,6 +143,24 @@ def test_import_writes_nothing_to_stderr():
     assert out.stdout.strip() == "numpy"
 
 
+def test_a_sweep_over_every_tag_never_imports_numpy(tmp_path):
+    import subprocess
+    import sys
+
+    from rkksums.theorems import FAMILIES
+
+    out = tmp_path / "rows.json"
+    argv = ["--theorems", ",".join(FAMILIES), "--r", "2,3", "--primes", "7,11",
+            "--x-random", "1", "--series-order", "10", "--identity-n", "5",
+            "--out", str(out)]
+    script = ("import sys\nfrom rkksums import cli\n"
+              f"print(cli.main({argv!r}), 'numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["0", "False"], proc.stderr
+    assert "rkkmod2_multiple" in {row["theoremId"] for row in json.loads(out.read_text())}
+
+
 def test_exit_code_propagates_failures(monkeypatch, tmp_path):
     # force a fail row through a patched checker to confirm exit code 1
     from rkksums import theorems

@@ -26,7 +26,7 @@ def test_ctx_validation():
     with pytest.raises(ValueError):
         ModulusCtx(7, 4)
     with pytest.raises(ValueError):
-        ModulusCtx(2_000_003, 3)  # p^3 overflows the kernel-safe bound
+        ModulusCtx(2_000_003, 3)  # p^3 exceeds MAX_MODULUS
 
 
 def test_residue_from_rational_examples():

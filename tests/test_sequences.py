@@ -4,10 +4,11 @@ RootSums takes every quantity from power sums of Moebius-image polynomials
 (modring.image_poly) and from jumps t^N mod chi (modring.jump).  These
 tests hold the helpers to the element-level GaloisRing, on random monic
 moduli that need not be squarefree, and check that a sweep never builds a
-ring element.
+ring element, nor one image's power sums below p twice.
 """
 
 import operator
+from collections import Counter
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -106,3 +107,21 @@ def test_sweep_builds_no_ring_element(monkeypatch):
     assert summary.failed == 0 and summary.passed > 500
     assert calls == {"poly_mulmod": 0, "inv": 0, "pow": 0}
     assert theorems._factor_rings.cache_info().misses == 0
+
+
+def test_power_sums_below_p_are_built_once_per_image(monkeypatch):
+    p = 101
+    built = Counter()
+
+    def counted(poly, count, m):
+        if count == p - 1:
+            built[tuple(poly), m] += 1
+        return power_sums(poly, count, m)
+
+    monkeypatch.setattr(theorems, "power_sums", counted)
+    theorems.root_sums.cache_clear()
+    config = cli.RunConfig(r_values=[3], primes=[p], x_values=[Fraction(2)],
+                           theorems=["rkksuk", "rkksukmod2", "rkksukk"])
+    summary, _ = cli.run(config)
+    assert summary.failed == 0 and summary.passed >= 3
+    assert built and set(built.values()) == {1}, built

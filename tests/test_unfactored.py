@@ -10,7 +10,6 @@ import functools
 import operator
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -52,10 +51,10 @@ def ring_elements(draw):
 def test_charpoly_matches_faddeev_leverrier(elements):
     ring, u = elements
     m = ring.ctx.modulus
-    mat = kernels.mult_matrix(u.coeffs, ring.modpoly.as_array(), m)
-    inverses = np.array([pow(k, -1, m) for k in range(1, ring.degree + 1)], dtype=np.int64)
+    mat = kernels.mult_matrix(u.coeffs, ring.modpoly.coeffs, m)
+    inverses = [pow(k, -1, m) for k in range(1, ring.degree + 1)]
     expected = kernels.fl_charpoly(mat, inverses, m)
-    assert ring.charpoly(u).coeffs == tuple(int(a) for a in expected)
+    assert ring.charpoly(u).coeffs == tuple(expected)
 
 
 AGGREGATES = {
@@ -148,7 +147,7 @@ def test_double_root_cofactor_trace_matches_per_factor_reference(e):
                 c = R.gen()
                 q = (c - R.one()) * (R.scalar(r - 1) + c).inverse()
                 expected += int((q * (c ** p + r * p * pounds(1, c))).trace())
-            got = T._cofactor_trace(GaloisRing(cofactor), r)
+            got = T._cofactor_trace(cofactor, r)
             assert got == expected % m, (r, p, e)
             non_split += any(f.degree > 1 for f in factors.factors)
     assert non_split > 20
