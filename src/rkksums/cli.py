@@ -11,7 +11,6 @@ naming the task, so a crash never reads as a failed congruence.
 """
 
 import argparse
-import os
 import random
 import sys
 import time
@@ -19,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
-from . import engine, theorems
+from . import engine, seriesid, theorems
 from .errors import ConfigError, RkksumsError
 from .modring import as_rational
 from .polyfactor import Degeneracy, classify_residue
@@ -40,7 +39,6 @@ class RunConfig:
     identity_n: int = 20
     fmt: str = "json"
     out: str | None = None
-    jobs: int = 1
 
 
 DEFAULT_THEOREMS = [tag for tag, fam in FAMILIES.items() if fam.default]
@@ -200,17 +198,7 @@ def build_parser():
     parser.add_argument("--identity-n", type=int, default=20, metavar="N")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--out", default=None, metavar="PATH")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="accepted for compatibility; runs are always serial")
     return parser
-
-
-def available_cpus():
-    """CPUs this process may run on; --jobs is capped at this many."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
 
 
 def config_from_args(args):
@@ -218,6 +206,12 @@ def config_from_args(args):
         r_values = [int(v) for v in args.r.split(",") if v.strip()]
         if any(r < 1 for r in r_values):
             raise ConfigError("r values must be positive")
+        if args.x_random < 0:
+            raise ConfigError("--x-random must be at least 0")
+        if not 1 <= args.series_order <= seriesid.MAX_SERIES_ORDER:
+            raise ConfigError(f"--series-order must lie in 1..{seriesid.MAX_SERIES_ORDER}")
+        if not 1 <= args.identity_n <= seriesid.MAX_IDENTITY_N:
+            raise ConfigError(f"--identity-n must lie in 1..{seriesid.MAX_IDENTITY_N}")
         config = RunConfig(
             r_values=r_values,
             primes=parse_primes(args.primes) if args.primes else [],
@@ -230,7 +224,6 @@ def config_from_args(args):
             identity_n=args.identity_n,
             fmt=args.format,
             out=args.out,
-            jobs=min(max(args.jobs, 1), available_cpus()),
         )
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(str(exc)) from exc

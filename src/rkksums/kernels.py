@@ -3,16 +3,15 @@
 Every residue is a Python int in [0, mod), so no product can overflow and
 the moduli the package accepts are bounded only by its input contract
 (modring.MAX_MODULUS).  Polynomials are lists (or tuples) of coefficients,
-lowest degree first; quotient polynomials g are monic of length m+1, and
-quotient-ring elements have m coefficients.
+lowest degree first, except in weighted_geometric_sum, which takes them
+highest first (Horner order); quotient polynomials g are monic of length
+m+1, and quotient-ring elements have m coefficients.
 
 mulmod is the one product mod a monic polynomial: the root-sum sequences
 use it through modring.jump, and the quotient-ring reference kernels
 (poly_mulmod and the kernels built on it) through GaloisRing.  This is the
 one engine the package has, reported as "numpy" by rkksums.engine().
 """
-
-import operator
 
 
 def mulmod(a, b, chi, m):
@@ -67,24 +66,16 @@ def weighted_powers_poly(u, w, g, mod):
     return acc
 
 
-def weighted_geometric_sum(coefs, w, x, lo, hi, mod):
-    """sum_{k=lo}^{hi-1} coefs[k] * w[k] * x^k  (mod mod), by Horner's rule.
+def weighted_geometric_sum(coefs, x, lo, mod):
+    """sum_{k=lo}^{hi-1} a_k * x^k  (mod mod), by Horner's rule.
 
-    x is a residue, an int, or a list of residues; for a list the result is
-    the list of the sums at each of them, over the one table of terms.
+    coefs holds a_(hi-1), ..., a_lo, with hi = lo + len(coefs): highest
+    power first, in Horner order.
     """
-    terms = list(map(operator.mul, coefs[lo:hi], w[lo:hi]))
-    terms.reverse()
-
-    def at(x):
-        acc = 0
-        for t in terms:
-            acc = (acc * x + t) % mod
-        return acc * pow(x, lo, mod) % mod
-
-    if isinstance(x, int):
-        return at(x)
-    return [at(xi) for xi in x]
+    acc = 0
+    for a in coefs:
+        acc = (acc * x + a) % mod
+    return acc * pow(x, lo, mod) % mod
 
 
 def _shift_reduce(col, g, mod):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import finlog, seriesid
-from .binomsums import full_range, lhs_sum, lhs_sums, range_A_star, short_range
+from .binomsums import full_range, lhs_sum, range_A_star, short_range
 from .errors import DenominatorNotUnit, NonUnitDenominator
 from .finlog import constants_table, pounds, pounds_from_traces
 from .kernels import mulmod
@@ -590,15 +590,12 @@ def split_residues(r, p):
 
 def check_cor_split(r, p):
     """For every residue a whose root polynomial splits over F_p, both sums vanish."""
-    split = split_residues(r, p)
-    ctx = _ctx(p, 1)
-    long = lhs_sums(r, split, 0, full_range(p), ctx)
-    short = lhs_sums(r, split, 0, short_range(r, p), ctx)
+    ctx, long, short = _ctx(p, 1), full_range(p), short_range(r, p)
     out = []
-    for a, lhs_long, lhs_short in zip(split, long, short):
+    for a in split_residues(r, p):
         x = Fraction(a)
-        out.append(_report("cor_split_long", r, p, 1, x, lhs_long, 0))
-        out.append(_report("cor_split_short", r, p, 1, x, lhs_short, 0))
+        out.append(_report("cor_split_long", r, p, 1, x, lhs_sum(r, x, 0, long, ctx).value, 0))
+        out.append(_report("cor_split_short", r, p, 1, x, lhs_sum(r, x, 0, short, ctx).value, 0))
     return out
 
 

@@ -1,4 +1,4 @@
-"""CLI harness tests: config handling, report formats, determinism, jobs."""
+"""CLI harness tests: config handling, report formats, determinism, exit codes."""
 
 import csv
 import io
@@ -6,6 +6,7 @@ import json
 import pathlib
 
 import jsonschema
+import pytest
 
 from rkksums import cli
 from rkksums.report import emit_report
@@ -25,6 +26,19 @@ def test_config_errors_exit_2(capsys):
     assert cli.main(["--primes", "9"]) == 2
     assert cli.main(["--primes", "2"]) == 2  # even primes are out of scope
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--theorems", "series", "--series-order", "0"],
+    ["--theorems", "series", "--series-order", "101"],
+    ["--theorems", "identities", "--identity-n", "0"],
+    ["--theorems", "identities", "--identity-n", "61"],
+    ["--theorems", "fe", "--primes", "7", "--x-random=-3"],
+])
+def test_out_of_range_sizes_are_config_errors(argv, capsys):
+    assert cli.main(["--r", "2", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and len(err.splitlines()) == 1
 
 
 def test_empty_prime_range_is_a_clean_noop(tmp_path):
@@ -103,8 +117,6 @@ def test_determinism_and_parallel_equivalence():
     _, serial = run_cli(argv)
     _, again = run_cli(argv)
     assert emit_report(serial, "json") == emit_report(again, "json")
-    _, parallel = run_cli(argv + ["--jobs", "4"])
-    assert emit_report(serial, "json") == emit_report(parallel, "json")
     _, other_seed = run_cli(argv[:-2] + ["--seed", "12", "--theorems",
                                          "rkksuk,rkksuk_short,lemma_technical"])
     assert emit_report(serial, "json") != emit_report(other_seed, "json")
@@ -218,16 +230,6 @@ def test_primes_not_above_r_get_skip_rows():
     assert any(rep.p == 11 and rep.verdict == "pass" for rep in reports)
 
 
-def test_jobs_are_capped_at_the_available_cpus():
-    # only the parsed config is checked; no pool is started
-    import os
-
-    cpus = len(os.sched_getaffinity(0))
-    for asked, expected in [("100000", cpus), ("0", 1), ("1", 1)]:
-        args = cli.build_parser().parse_args(["--jobs", asked])
-        assert cli.config_from_args(args).jobs == expected
-
-
 def test_tags_sharing_a_point_run_there_together(monkeypatch):
     # the grid is walked once: every (r, x, p) asks for its root sums in one
     # contiguous run, whichever tags and precisions ask
@@ -289,3 +291,17 @@ def test_repeated_x_and_tags_are_merged(capsys):
     assert repeated.out == plain.out and len(json.loads(plain.out)) == 1
     assert "checks=1 " in repeated.err
     assert repeated.err.splitlines()[:-1] == plain.err.splitlines()[:-1]  # all but wall time
+
+
+def test_a_failing_functional_equation_is_a_fail_row(monkeypatch, capsys):
+    # a nonzero residual is a failed identity, reported on its own row: exit 1, not 3
+    from rkksums import seriesid
+
+    def residual(r, order):
+        return (0, 1) + (0,) * (order - 1)
+
+    monkeypatch.setattr(seriesid, "fuss_catalan_residual", residual)
+    code = cli.main(["--r", "2", "--theorems", "series", "--series-order", "10"])
+    rows = {row["theoremId"]: row["verdict"] for row in json.loads(capsys.readouterr().out)}
+    assert code == 1
+    assert rows == {"series_functional_eq": "fail", "series_log": "pass"}

@@ -67,8 +67,8 @@ def test_weighted_geometric_sum_direct():
     expected = [sum(
         coefs[k] * w[k] * pow(x, k, mod) for k in range(lo, hi)
     ) % mod for x in xs]
-    assert kernels.weighted_geometric_sum(coefs, w, xs[0], lo, hi, mod) == expected[0]
-    assert kernels.weighted_geometric_sum(coefs, w, xs, lo, hi, mod) == expected
+    horner = [coefs[k] * w[k] % mod for k in reversed(range(lo, hi))]
+    assert [kernels.weighted_geometric_sum(horner, x, lo, mod) for x in xs] == expected
 
 
 def test_trace_is_matrix_diagonal():
