@@ -5,9 +5,10 @@ this module only parses the sweep, draws the x values and runs the tasks.
 
 Exit codes: 0 when every executed check passes (skips allowed), 1 when any
 check fails, 2 on configuration errors and on inputs the package refuses
-(such as a modulus p^e beyond MAX_MODULUS), 3 when the program
-itself breaks: any other exception, reported as one "internal error:" line
-naming the task, so a crash never reads as a failed congruence.
+(such as a modulus p^e beyond MAX_MODULUS, refused before any check runs),
+3 when the program itself breaks: any other exception, reported as one
+"internal error:" line naming the task, so a crash never reads as a failed
+congruence.
 """
 
 import argparse
@@ -19,8 +20,8 @@ from fractions import Fraction
 from functools import partial
 
 from . import engine, seriesid, theorems
-from .errors import ConfigError, RkksumsError
-from .modring import as_rational
+from .errors import ConfigError, ModulusTooLarge, RkksumsError
+from .modring import ModulusCtx, as_rational
 from .polyfactor import Degeneracy, classify_residue
 from .primes import odd_primes_in
 from .report import SKIP, CongruenceReport, RunSummary, emit_report
@@ -32,7 +33,7 @@ class RunConfig:
     r_values: list = field(default_factory=lambda: [2, 3])
     primes: list = field(default_factory=list)
     x_values: list = field(default_factory=list)
-    x_random: int = 0
+    x_random: int | None = None   # None: not given
     theorems: list = field(default_factory=list)
     seed: int = 0
     series_order: int = 60
@@ -71,7 +72,7 @@ def parse_rationals(text):
 def draw_x_values(config, tag, r, p):
     """Explicit x values plus seeded random nondegenerate units mod p."""
     xs = list(config.x_values)
-    if config.x_random > 0:
+    if config.x_random:
         rng = random.Random(f"{config.seed}|{tag}|{r}|{p}")
         for _ in range(config.x_random):
             while True:
@@ -80,6 +81,19 @@ def draw_x_values(config, tag, r, p):
                     xs.append(Fraction(a))
                     break
     return xs
+
+
+def refuse_large_moduli(selected, primes):
+    """Raise ModulusTooLarge naming the first (tag, p) whose checker would read
+    a p^e beyond MAX_MODULUS, so such a run stops before any work."""
+    for p in primes:
+        for tag, fam in selected:
+            if fam.grid == EXACT:
+                continue
+            try:
+                ModulusCtx(p, max(fam.e, fam.reads_e))
+            except ModulusTooLarge as exc:
+                raise ModulusTooLarge(f"{tag} at p = {p}: {exc}") from exc
 
 
 def _p_not_above_r(tag, r, p):
@@ -127,6 +141,7 @@ def build_tasks(config):
         if tag not in FAMILIES:
             raise ConfigError(f"unknown theorem tag {tag!r}")
         selected.append((tag, FAMILIES[tag]))
+    refuse_large_moduli(selected, config.primes)
 
     def on(*grids):
         return [(tag, fam.rows) for tag, fam in selected if fam.grid in grids]
@@ -189,8 +204,10 @@ def build_parser():
                         help="prime list/range, e.g. '5..100' or '7,11,13'")
     parser.add_argument("--x", default="",
                         help="comma-separated rationals, e.g. '2,1/8,4/27,-2'")
-    parser.add_argument("--x-random", type=int, default=0, metavar="N",
-                        help="draw N random nondegenerate x per (r, p)")
+    parser.add_argument("--x-random", type=int, default=None, metavar="N",
+                        help="draw N random nondegenerate x per (r, p); fe and r3_beta "
+                             f"sample N points per prime, {theorems.DEFAULT_SAMPLES} "
+                             "when the flag is omitted")
     parser.add_argument("--theorems", default=",".join(DEFAULT_THEOREMS),
                         help=f"tags from: {', '.join(sorted(FAMILIES))}")
     parser.add_argument("--seed", type=int, default=0)
@@ -206,7 +223,7 @@ def config_from_args(args):
         r_values = [int(v) for v in args.r.split(",") if v.strip()]
         if any(r < 1 for r in r_values):
             raise ConfigError("r values must be positive")
-        if args.x_random < 0:
+        if args.x_random is not None and args.x_random < 0:
             raise ConfigError("--x-random must be at least 0")
         if not 1 <= args.series_order <= seriesid.MAX_SERIES_ORDER:
             raise ConfigError(f"--series-order must lie in 1..{seriesid.MAX_SERIES_ORDER}")

@@ -7,13 +7,22 @@ polylog, Tr(v pounds_s(u)) = sum_k k^-s Tr(v u^k), and pounds_from_traces
 takes it from the integer sequence Tr(v u^k) without forming the polylog;
 pounds on a GaloisElt is the element-level reference.  The weights k^-s
 are one cached tuple of Python ints per (p, e, s).  The constants
-gathered here - Fermat quotients, Euler and Bernoulli numbers, the Lucas
+gathered here - Fermat quotients, E_{p-3}, B_{p-2}(1/3), the Lucas
 quotient and Legendre symbols - are what the closed-form numerical
 congruences evaluate to.
+
+The Euler number and the Bernoulli polynomial value are each one sum of
+k^-2, O(p) work per prime (E. Lehmer, On congruences involving Bernoulli
+numbers and the quotients of Fermat and Wilson, Ann. of Math. 39, 1938):
+
+    E_{p-3}      = (-1)^((p-1)/2) / 4 * sum_{k=1}^{floor(p/4)} k^-2  (mod p)
+    B_{p-2}(1/3) = 2 (p|3) * sum_{k=1}^{floor(p/3)} k^-2             (mod p)
+
+The O(p^2) Euler and Bernoulli recurrences they replace live in
+tests/helpers.py, as the reference the tests compare these sums with.
 """
 
 import functools
-import math
 import operator
 import random
 from dataclasses import dataclass
@@ -72,55 +81,6 @@ def fermat_quotient(x, p, out_precision=1):
     return ResidueInt((t - 1) // p, ModulusCtx(p, out_precision))
 
 
-@functools.lru_cache(maxsize=None)
-def euler_numbers_mod_p(p, upto):
-    """E_0, E_2, ..., E_upto mod p via the secant-number recurrence."""
-    half = upto // 2
-    es = [0] * (half + 1)
-    es[0] = 1
-    for n in range(1, half + 1):
-        acc = 0
-        for k in range(n):
-            acc = (acc + math.comb(2 * n, 2 * k) % p * es[k]) % p
-        es[n] = (-acc) % p
-    return tuple(es)
-
-
-def euler_pm3(p):
-    """The Euler number E_{p-3} mod p."""
-    if p <= 3:
-        raise ValueError("need p > 3")
-    return ResidueInt(euler_numbers_mod_p(p, p - 3)[(p - 3) // 2], ModulusCtx(p, 1))
-
-
-@functools.lru_cache(maxsize=None)
-def bernoulli_mod_p(p, upto):
-    """B_0, B_1, ..., B_upto mod p (B_1 = -1/2 convention)."""
-    if upto >= p - 1:
-        raise ValueError("Bernoulli recurrence needs indices below p-1")
-    bs = [0] * (upto + 1)
-    bs[0] = 1
-    for n in range(1, upto + 1):
-        acc = 0
-        for j in range(n):
-            acc = (acc + math.comb(n + 1, j) % p * bs[j]) % p
-        bs[n] = (-acc) * pow(n + 1, -1, p) % p
-    return tuple(bs)
-
-
-def bernoulli_poly_mod_p(n, a, p):
-    """Bernoulli polynomial value B_n(a) mod p for p-integral rational a."""
-    ctx = ModulusCtx(p, 1)
-    av = residue_from_rational(as_rational(a), ctx).value
-    bs = bernoulli_mod_p(p, n)
-    acc = 0
-    apow = 1
-    for k in range(n, -1, -1):
-        acc = (acc + math.comb(n, k) % p * bs[k] % p * apow) % p
-        apow = apow * av % p
-    return ResidueInt(acc, ctx)
-
-
 def lucas_number_mod(n, m):
     """L_n mod m via 2x2 companion-matrix power (L_0 = 2, L_1 = 1)."""
     a, b, c, d = 1, 1, 1, 0
@@ -170,29 +130,34 @@ class ConstantsTable:
     qp2_sq: int       # Fermat quotient of 2, mod p^2
     qp3_sq: int       # Fermat quotient of 3, mod p^2
     euler_pm3: int    # E_{p-3} mod p
+    b_pm2_third: int  # B_{p-2}(1/3) mod p
     lucas_q: int | None   # q_L mod p (None when p = 5)
     sign_half: int    # (-1)^((p-1)/2)
     leg5: int         # (p|5)
     leg_p_3: int      # (p|3)
     leg_m2: int       # (-2|p)
 
-    def bernoulli_at(self, n, a):
-        return bernoulli_poly_mod_p(n, a, self.p).value
+
+def _inverse_square_sum(n, p):
+    """sum_{k=1}^n k^-2 mod p."""
+    return sum(pow(k, -2, p) for k in range(1, n + 1)) % p
 
 
 @functools.lru_cache(maxsize=None)
 def constants_table(p):
     if p <= 3:
         raise ValueError("need p > 3")
+    sign_half = 1 if p % 4 == 1 else -1
     return ConstantsTable(
         p=p,
         qp2=fermat_quotient(2, p).value,
         qp3=fermat_quotient(3, p).value,
         qp2_sq=fermat_quotient(2, p, 2).value,
         qp3_sq=fermat_quotient(3, p, 2).value,
-        euler_pm3=euler_pm3(p).value,
+        euler_pm3=sign_half * pow(4, -1, p) * _inverse_square_sum(p // 4, p) % p,
+        b_pm2_third=2 * legendre(p, 3) * _inverse_square_sum(p // 3, p) % p,
         lucas_q=None if p == 5 else lucas_quotient(p).value,
-        sign_half=1 if (p - 1) // 2 % 2 == 0 else -1,
+        sign_half=sign_half,
         leg5=legendre(p, 5),
         leg_p_3=legendre(p, 3),
         leg_m2=legendre(-2, p),

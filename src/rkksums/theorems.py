@@ -672,7 +672,7 @@ def _num_rows(p):
         ("num_r2_x13_k1_sq", 2, Fraction(1, 3), 1, full, 2,
          lambda: (ct.qp3_sq - inv(2, m2) * p * ct.qp3 * ct.qp3) % m2, True),
         ("num_r2_x13_k2", 2, Fraction(1, 3), 2, full, 1,
-         lambda: (inv(9, p) * ct.leg_p_3 * ct.bernoulli_at(p - 2, Fraction(1, 3))
+         lambda: (inv(9, p) * ct.leg_p_3 * ct.b_pm2_third
                   - inv(2, p) * ct.qp3 * ct.qp3) % p, True),
         ("num_r2_xm2_k1_sq", 2, Fraction(-2), 1, full, 2,
          lambda: (-4 * ct.qp2_sq + 4 * p * ct.qp2 * ct.qp2) % m2, True),
@@ -725,6 +725,14 @@ def identity_rows(r, n):
 
 # --- the table ---------------------------------------------------------------
 
+# fe and r3_beta sample their own points: this many when --x-random is not given
+DEFAULT_SAMPLES = 8
+
+
+def _samples(config):
+    return DEFAULT_SAMPLES if config.x_random is None else config.x_random
+
+
 # grids: the part of the (r, p, x) sweep one call of a family's rows takes
 RPX = "rpx"        # rows(r, p, x)
 RP = "rp"          # rows(r, p)
@@ -745,6 +753,7 @@ class Family:
     one_row: bool = False    # the checker returns a bare row, not a list
     windows: bool = False    # a degenerate x skips each window m = 1..r-1
     default: bool = True     # run when no tags are named
+    reads_e: int = 0         # the highest precision the checker reads, when above e
 
 
 FAMILIES = {
@@ -760,8 +769,10 @@ FAMILIES = {
     "mystery": Family(
         RPX, 2, lambda r, p, x: check_mystery(r, x, p), (R_AT_LEAST_2,),
         ("mystery_a", "mystery_b")),
-    "rkksukk": Family(RPX, 1, lambda r, p, x: check_rkksukk(r, x, p), (P_ABOVE_3,)),
-    "rkksukmod2": Family(RPX, 2, lambda r, p, x: check_rkksukmod2(r, x, p), (P_ABOVE_3,)),
+    "rkksukk": Family(
+        RPX, 1, lambda r, p, x: check_rkksukk(r, x, p), (P_ABOVE_3,), reads_e=3),
+    "rkksukmod2": Family(
+        RPX, 2, lambda r, p, x: check_rkksukmod2(r, x, p), (P_ABOVE_3,), reads_e=3),
     "rkkmod2": Family(RPX, 2, lambda r, p, x: check_rkkmod2(r, x, p), one_row=True),
     "rkkmod2_var": Family(RPX, 2, lambda r, p, x: check_rkkmod2_var(r, x, p), (R_AT_LEAST_2,)),
     "rkkmod2_multiple": Family(
@@ -770,14 +781,16 @@ FAMILIES = {
     "central_pol": Family(PX, 1, lambda p, x: check_central_pol(x, p)),
     "cor_split": Family(RP, 1, lambda r, p: check_cor_split(r, p), default=False),
     "r3_beta": Family(
-        P, 1, lambda p, config: check_r3_beta(p, config.x_random or 8, config.seed),
+        P, 1, lambda p, config: check_r3_beta(p, _samples(config), config.seed),
         (P_ABOVE_3,), ("r3_beta_long",), default=False),
+    # numerics reads p^3 through the Fermat quotients mod p^2
     "numerics": Family(
-        P, 1, lambda p, config: check_numerics_table(p), (P_ABOVE_3,), default=False),
+        P, 1, lambda p, config: check_numerics_table(p), (P_ABOVE_3,), default=False,
+        reads_e=3),
     "fe": Family(
         P, 1, lambda p, config: finlog.check_functional_equations(
-            p, config.x_random or 8, config.seed),
-        default=False),
+            p, _samples(config), config.seed),
+        default=False, reads_e=3),
     "series": Family(
         EXACT, 0, lambda r, config: series_rows(r, config.series_order), default=False),
     "identities": Family(

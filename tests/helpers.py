@@ -86,6 +86,32 @@ def naive_pounds(s, t, p, m):
     return acc
 
 
+def euler_numbers_mod_p(p, upto):
+    """E_0, E_2, ..., E_upto mod p via the secant-number recurrence, O(upto^2)."""
+    es = [1]
+    for n in range(1, upto // 2 + 1):
+        acc = sum(math.comb(2 * n, 2 * k) * es[k] for k in range(n))
+        es.append(-acc % p)
+    return es
+
+
+def bernoulli_mod_p(p, upto):
+    """B_0, B_1, ..., B_upto mod p (B_1 = -1/2), for upto < p - 1, O(upto^2)."""
+    assert upto < p - 1, "the recurrence divides by n + 1 <= p - 1"
+    bs = [1]
+    for n in range(1, upto + 1):
+        acc = sum(math.comb(n + 1, j) * bs[j] for j in range(n))
+        bs.append(-acc * pow(n + 1, -1, p) % p)
+    return bs
+
+
+def bernoulli_poly_mod_p(n, a, p):
+    """B_n(a) = sum_k binom(n, k) B_k a^(n-k) mod p, for p-integral rational a."""
+    av = rational_mod(a, p)
+    bs = bernoulli_mod_p(p, n)
+    return sum(math.comb(n, k) * bs[k] * pow(av, n - k, p) for k in range(n + 1)) % p
+
+
 def lucas_binom_mod_p(n, k, p):
     """binom(n, k) mod p via the base-p digit product."""
     result = 1

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import pathlib
+import time
 
 import jsonschema
 import pytest
@@ -209,6 +210,44 @@ def test_modulus_too_large_is_a_clean_exit_2(capsys):
         pass
     else:
         raise AssertionError("ModulusCtx(1451, 3) was accepted")
+
+
+def test_a_modulus_too_large_is_refused_before_any_work(capsys):
+    # numerics reads p^3; 1451^3 > MAX_MODULUS, so the run stops before 1409..1447
+    start = time.perf_counter()
+    code = cli.main(["--theorems", "numerics", "--primes", "1400..1460"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: numerics at p = 1451: p^e = 3054936851 exceeds the modulus bound 3037000498"
+    ]
+    assert elapsed < 1.0
+
+
+def test_a_family_reading_only_p_squared_runs_at_1451():
+    summary, reports = run_cli(["--theorems", "rkksuk_z", "--r", "2", "--x", "2",
+                                "--primes", "1451"])
+    assert summary.failed == 0
+    assert {rep.p for rep in reports} == {1451}
+    assert {rep.verdict for rep in reports} == {"pass"}
+
+
+def test_numerics_at_a_large_prime_never_fail():
+    # both sides of E_{p-3} and B_{p-2}(1/3): the brute-force sums at p = 1009
+    summary, reports = run_cli(["--theorems", "numerics", "--primes", "1009"])
+    assert {rep.verdict for rep in reports} <= {"pass", "skip"}
+    assert {"num_r3_x2_k2", "num_r2_x13_k2"} <= {
+        rep.theorem for rep in reports if rep.verdict == "pass"}
+
+
+def test_x_random_zero_draws_no_points():
+    # 0 means zero sampled points for every family; only an omitted flag means 8
+    _, zero = run_cli(["--theorems", "fe,r3_beta", "--primes", "11", "--x-random", "0"])
+    assert sorted(rep.theorem for rep in zero) == ["wolstenholme_l1", "wolstenholme_l2"]
+    _, omitted = run_cli(["--theorems", "fe,r3_beta", "--primes", "11"])
+    _, eight = run_cli(["--theorems", "fe,r3_beta", "--primes", "11", "--x-random", "8"])
+    assert omitted == eight and len(omitted) > 2
 
 
 def test_primes_not_above_r_get_skip_rows():

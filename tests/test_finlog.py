@@ -1,16 +1,13 @@
 """Tests for finite polylogarithms and the special-constant calculators."""
 
+import math
 import random
 from fractions import Fraction
 
-from helpers import naive_pounds
+from helpers import bernoulli_mod_p, bernoulli_poly_mod_p, euler_numbers_mod_p, naive_pounds
 from rkksums.finlog import (
-    bernoulli_mod_p,
-    bernoulli_poly_mod_p,
     check_functional_equations,
     constants_table,
-    euler_numbers_mod_p,
-    euler_pm3,
     fermat_quotient,
     legendre,
     lucas_number_mod,
@@ -18,6 +15,7 @@ from rkksums.finlog import (
     pounds,
 )
 from rkksums.modring import GaloisRing, ModulusCtx, MonicPoly, ResidueInt
+from rkksums.primes import odd_primes_in
 
 
 def test_pounds_matches_naive_sum():
@@ -112,31 +110,54 @@ def test_euler_numbers_small():
 
 
 def test_euler_dilog_cross_check():
-    # pounds_2(i) = ((-1)^((p-1)/2) + i) * E_{p-3} / 2 in F_p[i]
-    for p in (13, 17, 29):  # i in F_p
+    # pounds_2(i) = ((-1)^((p-1)/2) + i) * E_{p-3} / 2 in F_p[i]; the
+    # polylog route shares no code with the k^-2 sum behind euler_pm3
+    for p in (13, 17, 29, 1009, 1433):  # i in F_p
         i_val = next(a for a in range(2, p) if a * a % p == p - 1)
         ctx = ModulusCtx(p, 1)
         lhs = pounds(2, ResidueInt(i_val, ctx)).value
         sign = 1 if (p - 1) // 2 % 2 == 0 else -1
-        rhs = (sign + i_val) * euler_pm3(p).value * pow(2, -1, p) % p
+        rhs = (sign + i_val) * constants_table(p).euler_pm3 * pow(2, -1, p) % p
         assert lhs == rhs
     for p in (7, 11, 19):  # i lives in the quadratic extension
         ring = GaloisRing(MonicPoly((1, 0, 1), ModulusCtx(p, 1)))
         i_elt = ring.gen()
         lhs = pounds(2, i_elt)
         sign = 1 if (p - 1) // 2 % 2 == 0 else -1
-        e_val = euler_pm3(p).value
+        e_val = constants_table(p).euler_pm3
         rhs = (ring.scalar(sign) + i_elt) * (e_val * pow(2, -1, p) % p)
         assert lhs == rhs
 
 
 def test_bernoulli_values():
     # B_0(a) = 1, B_1 = -1/2, B_4 = -1/30 (= 3 mod 7)
-    assert bernoulli_poly_mod_p(0, Fraction(3, 4), 11).value == 1
+    assert bernoulli_poly_mod_p(0, Fraction(3, 4), 11) == 1
     assert bernoulli_mod_p(11, 4)[1] == (-pow(2, -1, 11)) % 11
     assert bernoulli_mod_p(7, 4)[4] == (-pow(30, -1, 7)) % 7 == 3
     # B_1(0) = -1/2 through the polynomial evaluation path
-    assert bernoulli_poly_mod_p(1, Fraction(0), 13).value == (-pow(2, -1, 13)) % 13
+    assert bernoulli_poly_mod_p(1, Fraction(0), 13) == (-pow(2, -1, 13)) % 13
+
+
+def test_constants_match_the_recurrences():
+    # the O(p) sums of k^-2 against the O(p^2) Euler and Bernoulli recurrences
+    for p in odd_primes_in(5, 299):
+        ct = constants_table(p)
+        assert ct.euler_pm3 == euler_numbers_mod_p(p, p - 3)[(p - 3) // 2], p
+        assert ct.b_pm2_third == bernoulli_poly_mod_p(p - 2, Fraction(1, 3), p), p
+
+
+def test_constants_table_makes_no_binomial_calls(monkeypatch):
+    # no quadratic recurrence may come back: at p = 1447 one would take seconds
+    def forbidden(*args):
+        raise AssertionError("math.comb called while building the constants")
+
+    monkeypatch.setattr(math, "comb", forbidden)
+    constants_table.cache_clear()
+    try:
+        ct = constants_table(1447)
+    finally:
+        constants_table.cache_clear()
+    assert ct.p == 1447 and 0 <= ct.euler_pm3 < 1447 and 0 <= ct.b_pm2_third < 1447
 
 
 def test_lucas_quotient():
