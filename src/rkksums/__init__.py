@@ -12,8 +12,6 @@ from .modring import (
     GaloisRing,
     ModulusCtx,
     MonicPoly,
-    RationalInput,
-    ResidueInt,
     as_rational,
     residue_from_rational,
 )
@@ -37,8 +35,6 @@ __all__ = [
     "GaloisRing",
     "ModulusCtx",
     "MonicPoly",
-    "RationalInput",
-    "ResidueInt",
     "RunSummary",
     "as_rational",
     "engine",

@@ -3,6 +3,11 @@
 Polynomials are Python lists of ints in [0, p), lowest degree first, with no
 trailing zeros (the zero polynomial is []).  Used by the factorization
 pipeline and to seed Galois-ring inversion; the hot loops live in kernels.py.
+
+mul needs no inverse, so it works for any modulus, not only a prime: it is
+also the one plain product of monic polynomials over Z/p^e (MonicPoly
+products and the Hensel lift), where the leading coefficient stays 1 and
+the trim never fires.
 """
 
 

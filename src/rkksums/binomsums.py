@@ -3,12 +3,12 @@
 Binomial coefficients are taken exactly (big integers) and reduced mod p^e,
 so the tables are immune to p-adic valuation mistakes.  The coefficients
 binom(rk,k) * k^-d of one range are cached as one tuple in Horner order,
-and lhs_sum evaluates that polynomial at x with one O(p) Horner loop.  The
-k^-d weights are the LHS's own: nothing here reads a table of the
-right-hand side.  Ranges are built-in range objects and follow the
-vanishing pattern of binom(rk,k) mod p: inside [0, p) the coefficient is a
-unit only on the intervals A(r,m) = { k : (m-1)p/(r-1) <= k < mp/r } for
-0 < m < r.
+and lhs_sum evaluates that polynomial at x with one O(p) Horner loop,
+returning the residue as a plain int in [0, p^e).  The k^-d weights are
+the LHS's own: nothing here reads a table of the right-hand side.  Ranges
+are built-in range objects and follow the vanishing pattern of
+binom(rk,k) mod p: inside [0, p) the coefficient is a unit only on the
+intervals A(r,m) = { k : (m-1)p/(r-1) <= k < mp/r } for 0 < m < r.
 """
 
 import functools
@@ -16,7 +16,7 @@ import math
 
 from . import kernels
 from .errors import ZeroInRange
-from .modring import ResidueInt, as_rational, residue_from_rational
+from .modring import residue_from_rational
 
 
 def range_A(r, m, p):
@@ -65,16 +65,15 @@ def lhs_coefficients(r, p, e, d, lo, hi):
 
 
 def lhs_sum(r, x, d, sum_range, ctx):
-    """sum_{k in range} binom(rk,k) * x^k * k^-d mod p^e."""
+    """sum_{k in range} binom(rk,k) * x^k * k^-d mod p^e, an int in [0, p^e)."""
     if d not in (0, 1, 2):
         raise ValueError(f"unsupported inverse-power order d={d}")
     if d >= 1 and 0 in sum_range:
         raise ZeroInRange(f"range {sum_range} contains k=0 but d={d}")
     if len(sum_range) == 0:
-        return ResidueInt(0, ctx)
+        return 0
     if sum_range.stop > ctx.p:
         raise ValueError(f"range {sum_range} exceeds k < p = {ctx.p}")
     coefs = lhs_coefficients(r, ctx.p, ctx.e, d, sum_range.start, sum_range.stop)
-    xv = residue_from_rational(as_rational(x), ctx).value
-    return ResidueInt(
-        kernels.weighted_geometric_sum(coefs, xv, sum_range.start, ctx.modulus), ctx)
+    xv = residue_from_rational(x, ctx)
+    return kernels.weighted_geometric_sum(coefs, xv, sum_range.start, ctx.modulus)

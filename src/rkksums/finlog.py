@@ -1,15 +1,16 @@
-"""Finite polylogarithms over Z/p^e and Galois rings, plus special constants.
+"""Finite polylogarithms over Z/p^e and their root-sum traces, plus special constants.
 
-pounds(s, u) is the truncated series sum_{k=1}^{p-1} u^k / k^s; the orders
-actually used are s = 0 (a rational function), s = 1 (truncated logarithm)
-and s = 2 (finite dilogarithm).  Root sums only ever need the trace of a
+pounds(s, t, ctx) is the truncated series sum_{k=1}^{p-1} t^k / k^s mod
+p^e at a residue t, returned as an int in [0, p^e); the orders actually
+used are s = 0 (a rational function), s = 1 (truncated logarithm) and
+s = 2 (finite dilogarithm).  Root sums only ever need the trace of a
 polylog, Tr(v pounds_s(u)) = sum_k k^-s Tr(v u^k), and pounds_from_traces
 takes it from the integer sequence Tr(v u^k) without forming the polylog;
-pounds on a GaloisElt is the element-level reference.  The weights k^-s
-are one cached tuple of Python ints per (p, e, s).  The constants
-gathered here - Fermat quotients, E_{p-3}, B_{p-2}(1/3), the Lucas
-quotient and Legendre symbols - are what the closed-form numerical
-congruences evaluate to.
+the tests keep a polylog of a Galois-ring element as the element-level
+reference.  The weights k^-s are one cached tuple of Python ints per
+(p, e, s).  The constants gathered here - Fermat quotients, E_{p-3},
+B_{p-2}(1/3), the Lucas quotient and Legendre symbols - are what the
+closed-form numerical congruences evaluate to.
 
 The Euler number and the Bernoulli polynomial value are each one sum of
 k^-2, O(p) work per prime (E. Lehmer, On congruences involving Bernoulli
@@ -30,7 +31,7 @@ from fractions import Fraction
 
 from . import kernels
 from .errors import DivisibilityFailure
-from .modring import GaloisElt, ModulusCtx, ResidueInt, as_rational, residue_from_rational
+from .modring import ModulusCtx, residue_from_rational
 from .report import CongruenceReport, verdict_of
 
 ORDERS = (0, 1, 2)
@@ -43,19 +44,11 @@ def _weights(p, e, s):
     return tuple(pow(k, -s, m) for k in range(1, p))
 
 
-def pounds(s, u):
-    """Finite polylogarithm of order s of a ResidueInt or GaloisElt."""
+def pounds(s, t, ctx):
+    """Finite polylogarithm of order s at the residue t, mod p^e of ctx."""
     if s not in ORDERS:
         raise ValueError(f"unsupported polylog order {s}")
-    if isinstance(u, ResidueInt):
-        ctx = u.ctx
-        w = _weights(ctx.p, ctx.e, s)
-        return ResidueInt(kernels.weighted_powers_scalar(u.value, w, ctx.modulus), ctx)
-    if isinstance(u, GaloisElt):
-        ctx = u.ring.ctx
-        w = _weights(ctx.p, ctx.e, s)
-        return u.ring.weighted_powers(u, w)
-    raise TypeError(f"cannot evaluate pounds on {type(u).__name__}")
+    return kernels.weighted_powers_scalar(t, _weights(ctx.p, ctx.e, s), ctx.modulus)
 
 
 def pounds_from_traces(s, traces, p, e):
@@ -74,11 +67,10 @@ def fermat_quotient(x, p, out_precision=1):
     if out_precision + 1 > 3:
         raise ValueError("out_precision must be at most 2")
     ctx = ModulusCtx(p, out_precision + 1)
-    xv = residue_from_rational(as_rational(x), ctx).value
-    t = pow(xv, p - 1, ctx.modulus)
+    t = pow(residue_from_rational(x, ctx), p - 1, ctx.modulus)
     if (t - 1) % p != 0:
         raise DivisibilityFailure(f"{x}^{p-1} != 1 mod {p}")
-    return ResidueInt((t - 1) // p, ModulusCtx(p, out_precision))
+    return (t - 1) // p
 
 
 def lucas_number_mod(n, m):
@@ -105,10 +97,11 @@ def lucas_quotient(p):
     """q_L = (L_p - 1)/p mod p; the division is exact since L_p = 1 mod p."""
     if p == 5 or p % 2 == 0:
         raise ValueError("Lucas quotient needs an odd prime p != 5")
-    lp = lucas_number_mod(p, p * p)
+    m = ModulusCtx(p, 1).modulus
+    lp = lucas_number_mod(p, m * m)
     if (lp - 1) % p != 0:
         raise DivisibilityFailure(f"L_{p} != 1 mod {p}")
-    return ResidueInt((lp - 1) // p, ModulusCtx(p, 1))
+    return (lp - 1) // p
 
 
 def legendre(a, p):
@@ -150,13 +143,13 @@ def constants_table(p):
     sign_half = 1 if p % 4 == 1 else -1
     return ConstantsTable(
         p=p,
-        qp2=fermat_quotient(2, p).value,
-        qp3=fermat_quotient(3, p).value,
-        qp2_sq=fermat_quotient(2, p, 2).value,
-        qp3_sq=fermat_quotient(3, p, 2).value,
+        qp2=fermat_quotient(2, p),
+        qp3=fermat_quotient(3, p),
+        qp2_sq=fermat_quotient(2, p, 2),
+        qp3_sq=fermat_quotient(3, p, 2),
         euler_pm3=sign_half * pow(4, -1, p) * _inverse_square_sum(p // 4, p) % p,
         b_pm2_third=2 * legendre(p, 3) * _inverse_square_sum(p // 3, p) % p,
-        lucas_q=None if p == 5 else lucas_quotient(p).value,
+        lucas_q=None if p == 5 else lucas_quotient(p),
         sign_half=sign_half,
         leg5=legendre(p, 5),
         leg_p_3=legendre(p, 3),
@@ -191,27 +184,27 @@ def check_functional_equations(p, sample_count=8, seed=0):
 
     if p > 3:
         ctx3 = ModulusCtx(p, 3)
-        w1 = pounds(1, ResidueInt(1, ctx2)).value
-        reports.append(_fe_report("wolstenholme_l1", p, 2, None, w1, 0))
-        w2 = pounds(2, ResidueInt(1, ctx1)).value
-        reports.append(_fe_report("wolstenholme_l2", p, 1, None, w2, 0))
+        reports.append(_fe_report("wolstenholme_l1", p, 2, None, pounds(1, 1, ctx2), 0))
+        reports.append(_fe_report("wolstenholme_l2", p, 1, None, pounds(2, 1, ctx1), 0))
 
     for _ in range(sample_count):
         xv = rng.randrange(1, p)
         x = Fraction(xv)
         xinv = pow(xv, -1, p)
+        at_x = [pounds(s, xv, ctx1) for s in ORDERS]
+        at_inv = [pounds(s, xinv, ctx1) for s in ORDERS]
         for s in ORDERS:
-            lhs = pow(xv, p, p) * pounds(s, ResidueInt(xinv, ctx1)).value % p
-            rhs = (-1) ** s * pounds(s, ResidueInt(xv, ctx1)).value % p
+            lhs = pow(xv, p, p) * at_inv[s] % p
+            rhs = (-1) ** s * at_x[s] % p
             reports.append(_fe_report(f"fe_reciprocal_s{s}", p, 1, x, lhs, rhs))
 
-        l1 = pounds(1, ResidueInt(xv, ctx1)).value
-        l1c = pounds(1, ResidueInt(1 - xv, ctx1)).value
+        l1 = at_x[1]
+        l1c = pounds(1, 1 - xv, ctx1)
         reports.append(_fe_report("fe_complement", p, 1, x, l1c, l1))
 
         m2 = ctx2.modulus
         lhs2 = pow(1 - xv, p, m2)
-        rhs2 = (1 - pow(xv, p, m2) - p * pounds(1, ResidueInt(xv, ctx2)).value) % m2
+        rhs2 = (1 - pow(xv, p, m2) - p * pounds(1, xv, ctx2)) % m2
         reports.append(_fe_report("fe_pth_power_sq", p, 2, x, lhs2, rhs2))
 
         if p > 3:
@@ -220,8 +213,8 @@ def check_functional_equations(p, sample_count=8, seed=0):
             rhs3 = (
                 1
                 - pow(xv, p, m3)
-                - p * pounds(1, ResidueInt(xv, ctx3)).value
-                - p * p * pounds(2, ResidueInt(1 - xv, ctx3)).value
+                - p * pounds(1, xv, ctx3)
+                - p * p * pounds(2, 1 - xv, ctx3)
             ) % m3
             reports.append(_fe_report("fe_pth_power_cube", p, 3, x, lhs3, rhs3))
 
@@ -231,14 +224,11 @@ def check_functional_equations(p, sample_count=8, seed=0):
             one_minus = (1 - xv) % p
             orbit = [
                 l1,
-                pounds(1, ResidueInt(one_minus, ctx1)).value,
-                (-pow(one_minus, p, p)
-                 * pounds(1, ResidueInt(pow(one_minus, -1, p), ctx1)).value) % p,
-                (pow(xv - 1, p, p)
-                 * pounds(1, ResidueInt(xv * pow(xv - 1, -1, p) % p, ctx1)).value) % p,
-                (-pow(xv, p, p)
-                 * pounds(1, ResidueInt((xv - 1) * xinv % p, ctx1)).value) % p,
-                (-pow(xv, p, p) * pounds(1, ResidueInt(xinv, ctx1)).value) % p,
+                l1c,
+                (-pow(one_minus, p, p) * pounds(1, pow(one_minus, -1, p), ctx1)) % p,
+                (pow(xv - 1, p, p) * pounds(1, xv * pow(xv - 1, -1, p) % p, ctx1)) % p,
+                (-pow(xv, p, p) * pounds(1, (xv - 1) * xinv % p, ctx1)) % p,
+                (-pow(xv, p, p) * at_inv[1]) % p,
             ]
             orbit_ok = all(v == l1 for v in orbit)
             reports.append(
@@ -247,8 +237,8 @@ def check_functional_equations(p, sample_count=8, seed=0):
 
             # the quotient identity needs exact integer arguments: q_p is
             # sensitive to the representative mod p^2, not just mod p
-            q_x = fermat_quotient(xv, p).value
-            q_1mx = fermat_quotient(1 - xv, p).value
+            q_x = fermat_quotient(xv, p)
+            q_1mx = fermat_quotient(1 - xv, p)
             rhs_q = (-xv * q_x - (1 - xv) * q_1mx) % p
             reports.append(_fe_report("fe_fermat_quotient", p, 1, x, l1, rhs_q))
 

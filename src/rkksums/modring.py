@@ -1,5 +1,10 @@
 """Exact arithmetic in Z/p^e, integer sequences of root sums, and quotient rings.
 
+A residue mod p^e is a plain Python int in [0, p^e); ModulusCtx is the
+validated (p, e) it is taken in, and residue_from_rational reduces a
+p-integral rational into that range; evaluations and traces return such
+ints too.
+
 Root sums are computed as integer sequences.  For a monic f, the roots'
 images u = (a c + b)/(gamma c + delta) are the roots of image_poly; the
 power sums of a monic polynomial (power_sums) are the traces Tr(u^k), and
@@ -19,8 +24,8 @@ multiplication by F(c) is the sum of F over all roots of g and its
 characteristic polynomial is the product of the per-factor ones.  An
 element is a unit exactly when it is coprime to g mod p.
 
-All values are immutable after construction and all operations are pure, so
-contexts, rings and elements can be shared freely.
+Contexts, polynomials, rings and ring elements are immutable after
+construction and all operations are pure, so they can be shared freely.
 """
 
 import math
@@ -37,11 +42,6 @@ from .primes import is_prime
 # size; the bound is part of the input contract, so a p^e above it is
 # refused with ModulusTooLarge rather than run.
 MAX_MODULUS = 3_037_000_498
-
-#: Rational evaluation points are plain fractions; any int or (num, den)
-#: pair is accepted wherever a RationalInput is expected.
-RationalInput = Fraction
-
 
 def as_rational(x):
     """Coerce an int, Fraction, (num, den) pair or 'a/b' string to Fraction."""
@@ -85,7 +85,7 @@ class ModulusCtx:
 
 
 def residue_from_rational(q, ctx):
-    """num * den^-1 mod p^e for a p-integral rational."""
+    """num * den^-1 mod p^e for a p-integral rational, as an int in [0, p^e)."""
     q = as_rational(q)
     if q.denominator % ctx.p == 0:
         raise DenominatorNotUnit(f"{q} has denominator divisible by {ctx.p}")
@@ -93,80 +93,7 @@ def residue_from_rational(q, ctx):
     value = q.numerator % m
     if q.denominator != 1:
         value = value * pow(q.denominator, -1, m) % m
-    return ResidueInt(value, ctx)
-
-
-@dataclass(frozen=True)
-class ResidueInt:
-    """An element of Z/p^e; the type all congruence comparisons bottom out in."""
-
-    value: int
-    ctx: ModulusCtx
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.value % self.ctx.modulus)
-
-    def _coerce(self, other):
-        if isinstance(other, ResidueInt):
-            if other.ctx != self.ctx:
-                raise ValueError("mixed moduli")
-            return other.value
-        if isinstance(other, int):
-            return other % self.ctx.modulus
-        raise TypeError(f"cannot combine ResidueInt with {type(other).__name__}")
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        return ResidueInt(self.value + v, self.ctx)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        return ResidueInt(self.value - v, self.ctx)
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        return ResidueInt(v - self.value, self.ctx)
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        return ResidueInt(self.value * v, self.ctx)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return ResidueInt(-self.value, self.ctx)
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        return ResidueInt(pow(self.value, n, self.ctx.modulus), self.ctx)
-
-    def inverse(self):
-        if self.value % self.ctx.p == 0:
-            raise NotAUnit(f"{self.value} is not a unit mod {self.ctx.p}^{self.ctx.e}")
-        return ResidueInt(pow(self.value, -1, self.ctx.modulus), self.ctx)
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        return self * ResidueInt(v, self.ctx).inverse()
-
-    def __eq__(self, other):
-        if isinstance(other, ResidueInt):
-            return self.ctx == other.ctx and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.ctx.modulus
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.ctx.p, self.ctx.e))
-
-    def __int__(self):
-        return self.value
-
-    def __repr__(self):
-        return f"ResidueInt({self.value} mod {self.ctx.p}^{self.ctx.e})"
+    return value
 
 
 @dataclass(frozen=True)
@@ -196,19 +123,12 @@ class MonicPoly:
         acc = 0
         for coef in reversed(self.coeffs):
             acc = (acc * x + coef) % m
-        return ResidueInt(acc, self.ctx)
+        return acc
 
     def __mul__(self, other):
         if not isinstance(other, MonicPoly) or other.ctx != self.ctx:
             return NotImplemented
-        m = self.ctx.modulus
-        out = [0] * (self.degree + other.degree + 1)
-        for i, ai in enumerate(self.coeffs):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(other.coeffs):
-                out[i + j] = (out[i + j] + ai * bj) % m
-        return MonicPoly(tuple(out), self.ctx)
+        return MonicPoly(_gfpoly.mul(self.coeffs, other.coeffs, self.ctx.modulus), self.ctx)
 
 
 def power_sums(poly, count, m):
@@ -362,7 +282,7 @@ class GaloisRing:
 
     def trace(self, a):
         """Trace of multiplication by a: the sum of a over the roots of g."""
-        return ResidueInt(kernels.trace_mult(a.coeffs, self._g, self.ctx.modulus), self.ctx)
+        return kernels.trace_mult(a.coeffs, self._g, self.ctx.modulus)
 
     def _affine(self, a):
         """(a0, b) when a = a0 + b*c, else None."""
@@ -417,8 +337,8 @@ class GaloisElt:
             if other.ring is not self.ring and other.ring.modpoly != self.ring.modpoly:
                 raise ValueError("mixed Galois rings")
             return other
-        if isinstance(other, (int, ResidueInt)):
-            return self.ring.scalar(int(other))
+        if isinstance(other, int):
+            return self.ring.scalar(other)
         return None
 
     def __add__(self, other):

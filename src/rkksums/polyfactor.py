@@ -35,18 +35,6 @@ class Degeneracy(enum.Enum):
 
 
 @dataclass(frozen=True)
-class RootPolySpec:
-    r: int
-    x: Fraction
-    ctx: ModulusCtx
-
-    def __post_init__(self):
-        if not (1 <= self.r < self.ctx.p):
-            raise ValueError(f"need 1 <= r < p, got r={self.r}, p={self.ctx.p}")
-        object.__setattr__(self, "x", as_rational(self.x))
-
-
-@dataclass(frozen=True)
 class FactorSet:
     """Irreducible-mod-p monic factors of the root polynomial over Z/p^e."""
 
@@ -56,7 +44,6 @@ class FactorSet:
     ctx: ModulusCtx
 
     def product(self):
-        m = self.ctx.modulus
         acc = MonicPoly((1,), self.ctx)
         for f, mult in zip(self.factors, self.multiplicities):
             for _ in range(mult):
@@ -94,12 +81,14 @@ def classify_x(r, x, p):
     return classify_residue(r, xv, p)
 
 
-def build_root_poly(spec):
-    """The monic root polynomial (c-1)^r + x^-1 * c^(r-1) over Z/p^e."""
-    r, ctx = spec.r, spec.ctx
-    if spec.x.numerator % ctx.p == 0:
-        raise XNotUnit(f"x={spec.x} vanishes mod {ctx.p}")
-    inv_x = residue_from_rational(1 / spec.x, ctx).value
+def build_root_poly(r, x, ctx):
+    """The monic root polynomial (c-1)^r + x^-1 * c^(r-1) over Z/p^e, for 1 <= r < p."""
+    if not (1 <= r < ctx.p):
+        raise ValueError(f"need 1 <= r < p, got r={r}, p={ctx.p}")
+    x = as_rational(x)
+    if x.numerator % ctx.p == 0:
+        raise XNotUnit(f"x={x} vanishes mod {ctx.p}")
+    inv_x = residue_from_rational(1 / x, ctx)
     m = ctx.modulus
     coeffs = [math.comb(r, j) * (-1) ** (r - j) % m for j in range(r + 1)]
     coeffs[r - 1] = (coeffs[r - 1] + inv_x) % m
@@ -208,7 +197,7 @@ def hensel_lift(factor_set, f, target_e):
         step_mod = p ** (k + 1)
         prod = [1]
         for gi in gs:
-            prod = _poly_mul_int(prod, gi, step_mod)
+            prod = _gfpoly.mul(prod, gi, step_mod)
         diff = [(a - b) % step_mod for a, b in zip(_pad(f_full, len(prod)), prod)]
         if any(d % q for d in diff):
             raise NotCoprime("lift invariant broken: difference not divisible by p^k")
@@ -230,20 +219,9 @@ def _pad(a, n):
     return a + [0] * (n - len(a))
 
 
-def _poly_mul_int(a, b, m):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = (out[i + j] + ai * bj) % m
-    return out
-
-
 def root_factor_set(r, x, ctx, rng=None):
     """Factor the nondegenerate root polynomial for (r, x) over Z/p^e."""
-    spec = RootPolySpec(r, x, ctx)
-    f = build_root_poly(spec)
+    f = build_root_poly(r, x, ctx)
     fs1 = factor_mod_p(f.reduce(1), rng)
     return hensel_lift(fs1, f, ctx.e)
 
@@ -270,7 +248,7 @@ def double_root_cofactor(r, p, e):
     ctx = ModulusCtx(p, e)
     if r * (r - 1) % p == 0:
         raise ValueError(f"p={p} divides r(r-1)")
-    f = build_root_poly(RootPolySpec(r, x0_value(r), ctx))
+    f = build_root_poly(r, x0_value(r), ctx)
     m = ctx.modulus
     root = (1 - r) % m
     quot, rem = _synthetic_div(list(f.coeffs), root, m)

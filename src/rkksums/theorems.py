@@ -38,7 +38,6 @@ from .kernels import mulmod
 from .modring import (
     GaloisRing,
     ModulusCtx,
-    ResidueInt,
     as_rational,
     extend_recurrence,
     from_power_sums,
@@ -49,7 +48,6 @@ from .modring import (
 )
 from .polyfactor import (
     Degeneracy,
-    RootPolySpec,
     build_root_poly,
     classify_residue,
     classify_x,
@@ -69,7 +67,7 @@ def _factor_rings(r, x, p, e):
     over all roots and its characteristic polynomial the product.  Root sums
     never build it; it is the reference that RootSums.rings exposes.
     """
-    f = build_root_poly(RootPolySpec(r, x, ModulusCtx(p, e)))
+    f = build_root_poly(r, x, ModulusCtx(p, e))
     return (GaloisRing(f),)
 
 
@@ -173,11 +171,11 @@ class RootSums:
         return _factor_rings(self.r, self.x, self.p, self.e)
 
     def trace_sum(self, build):
-        return sum(int(build(ring).trace()) for ring in self.rings) % self.m
+        return sum(build(ring).trace() for ring in self.rings) % self.m
 
     @functools.cached_property
     def _f(self):
-        return build_root_poly(RootPolySpec(self.r, self.x, self.ctx)).coeffs
+        return build_root_poly(self.r, self.x, self.ctx).coeffs
 
     def _image(self, mobius):
         if mobius not in self._images:
@@ -324,11 +322,11 @@ class Point:
     def xp(self, e):
         """x^p mod p^e."""
         ctx = _ctx(self.p, e)
-        return pow(residue_from_rational(self.x, ctx).value, self.p, ctx.modulus)
+        return pow(residue_from_rational(self.x, ctx), self.p, ctx.modulus)
 
     def lhs(self, d, sum_range, e):
         """The sum of binom(rk,k) x^k / k^d over sum_range, mod p^e."""
-        return lhs_sum(self.r, self.x, d, sum_range, _ctx(self.p, e)).value
+        return lhs_sum(self.r, self.x, d, sum_range, _ctx(self.p, e))
 
     def report(self, theorem, e, lhs, rhs, m=None):
         return _report(theorem, self.r, self.p, e, self.x, lhs, rhs, m)
@@ -557,7 +555,7 @@ def check_rkkmod2_multiple(r, p):
     m2 = p * p
     double_root, cofactor = double_root_cofactor(r, p, 2)
     lhs = pt.lhs(0, full_range(p, include_zero=True), 2)
-    l1_at_root = pounds(1, ResidueInt(double_root, _ctx(p, 2))).value
+    l1_at_root = pounds(1, double_root, _ctx(p, 2))
     tail = p * r * (r - 2) * pow(r - 1, -1, m2) * l1_at_root
     head = ((r - 2 + 3 * p * r) * pow(r - 1, p - 1, m2) - tail) % m2
     term1 = 2 * pt.xp(2) * pow(3, -1, m2) * head
@@ -571,7 +569,7 @@ def check_central_pol(x, p):
     if x.denominator % p == 0:
         return _skip("central_pol", 2, p, 1, x, "DenominatorNotUnit")
     pt = Point(2, x, p)
-    xv = residue_from_rational(x, _ctx(p, 1)).value
+    xv = residue_from_rational(x, _ctx(p, 1))
     rhs = pow((1 - 4 * xv) % p, (p - 1) // 2, p)
     return pt.report("central_pol", 1, pt.lhs(0, short_range(2, p, include_zero=True), 1), rhs)
 
@@ -594,8 +592,8 @@ def check_cor_split(r, p):
     out = []
     for a in split_residues(r, p):
         x = Fraction(a)
-        out.append(_report("cor_split_long", r, p, 1, x, lhs_sum(r, x, 0, long, ctx).value, 0))
-        out.append(_report("cor_split_short", r, p, 1, x, lhs_sum(r, x, 0, short, ctx).value, 0))
+        out.append(_report("cor_split_long", r, p, 1, x, lhs_sum(r, x, 0, long, ctx), 0))
+        out.append(_report("cor_split_short", r, p, 1, x, lhs_sum(r, x, 0, short, ctx), 0))
     return out
 
 
@@ -622,8 +620,8 @@ def check_r3_beta(p, sample_count=8, seed=0):
             out.append(_skip("r3_beta_long", 3, p, 1, Fraction(beta), "DegenerateX"))
             continue
         pt = Point(3, Fraction(x), p)
-        l1_beta = pounds(1, ResidueInt(beta, ctx)).value
-        l1_c = pounds(1, ResidueInt(c, ctx)).value
+        l1_beta = pounds(1, beta, ctx)
+        l1_c = pounds(1, c, ctx)
         one_minus_c = (1 - c) % p
         lhs_long = pow(one_minus_c, 2 * p, p) * pt.lhs(1, full_range(p), 1)
         rhs_long = 3 * l1_beta - 3 * (1 - pow(c, p, p)) * l1_c

@@ -3,7 +3,9 @@
 Everything here is deliberately naive: exact rational/big-integer
 arithmetic, brute-force root searches and Newton lifting of single roots.
 None of it shares code with the package's trace/charpoly machinery, so
-agreement is a genuine two-route check.
+agreement is a genuine two-route check.  The one exception is ring_pounds,
+the polylog of a quotient-ring element, which is built on GaloisRing as the
+element-level reference for the polylog traces.
 """
 
 import math
@@ -84,6 +86,12 @@ def naive_pounds(s, t, p, m):
     for k in range(1, p):
         acc = (acc + pow(t, k, m) * pow(pow(k, s, m), -1, m)) % m
     return acc
+
+
+def ring_pounds(s, u):
+    """sum_{k=1}^{p-1} u^k / k^s for an element u of a GaloisRing, in that ring."""
+    ctx = u.ring.ctx
+    return u.ring.weighted_powers(u, [pow(k, -s, ctx.modulus) for k in range(1, ctx.p)])
 
 
 def euler_numbers_mod_p(p, upto):

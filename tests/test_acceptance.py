@@ -15,9 +15,9 @@ from rkksums.finlog import (
     legendre,
     pounds,
 )
-from rkksums.modring import ModulusCtx, ResidueInt
+from rkksums.modring import ModulusCtx
 from rkksums.polyfactor import Degeneracy, build_root_poly, classify_residue
-from rkksums.polyfactor import RootPolySpec, root_factor_set
+from rkksums.polyfactor import root_factor_set
 from rkksums.primes import odd_primes_in
 from rkksums.seriesid import (
     check_differentiation_ladder,
@@ -108,7 +108,7 @@ def test_criterion_4_double_root_value():
             checks += 1
             m2 = p * p
             if r == 3:
-                q2 = fermat_quotient(2, p).value
+                q2 = fermat_quotient(2, p)
                 expected = (pow(9, -1, m2)
                             + 8 * pow(27, -1, m2) * p * (3 + q2)) % m2
                 assert rep.lhs == expected
@@ -192,7 +192,7 @@ def test_criterion_9_infrastructure():
         if classify_residue(r, xv, p) is not Degeneracy.NONDEGENERATE:
             continue
         ctx = ModulusCtx(p, e)
-        f = build_root_poly(RootPolySpec(r, Fraction(xv), ctx))
+        f = build_root_poly(r, Fraction(xv), ctx)
         fs = root_factor_set(r, Fraction(xv), ctx)
         assert fs.product().coeffs == f.coeffs
         hensel_cases += 1
@@ -227,6 +227,6 @@ def test_criterion_9_infrastructure():
         bad = [rep for rep in reports if rep.verdict != "pass"]
         assert not bad, bad
     for p in odd_primes_in(5, 300):
-        assert pounds(1, ResidueInt(1, ModulusCtx(p, 2))).value == 0
-        assert pounds(2, ResidueInt(1, ModulusCtx(p, 1))).value == 0
+        assert pounds(1, 1, ModulusCtx(p, 2)) == 0
+        assert pounds(2, 1, ModulusCtx(p, 1)) == 0
     print("[acceptance] criterion 9: PASS")

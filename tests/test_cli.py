@@ -65,7 +65,7 @@ def test_closed_form_sweep(tmp_path):
 
     for row in mains:
         p = row["p"]
-        q2 = fermat_quotient(2, p).value
+        q2 = fermat_quotient(2, p)
         assert row["rhs"] == (-3 * p * q2 * q2) % (p * p)
 
 

@@ -4,7 +4,14 @@ import math
 import random
 from fractions import Fraction
 
-from helpers import bernoulli_mod_p, bernoulli_poly_mod_p, euler_numbers_mod_p, naive_pounds
+from helpers import (
+    bernoulli_mod_p,
+    bernoulli_poly_mod_p,
+    euler_numbers_mod_p,
+    naive_pounds,
+    ring_pounds,
+)
+from rkksums import finlog
 from rkksums.finlog import (
     check_functional_equations,
     constants_table,
@@ -14,7 +21,7 @@ from rkksums.finlog import (
     lucas_quotient,
     pounds,
 )
-from rkksums.modring import GaloisRing, ModulusCtx, MonicPoly, ResidueInt
+from rkksums.modring import GaloisRing, ModulusCtx, MonicPoly
 from rkksums.primes import odd_primes_in
 
 
@@ -25,7 +32,7 @@ def test_pounds_matches_naive_sum():
         for _ in range(10):
             t = rng.randrange(ctx.modulus)
             for s in (0, 1, 2):
-                got = pounds(s, ResidueInt(t, ctx)).value
+                got = pounds(s, t, ctx)
                 assert got == naive_pounds(s, t, p, ctx.modulus)
 
 
@@ -37,21 +44,21 @@ def test_pounds_zero_order_closed_form():
         for t in range(m):
             if (1 - t) % p == 0:
                 continue
-            lhs = pounds(0, ResidueInt(t, ctx)).value
+            lhs = pounds(0, t, ctx)
             rhs = (t - pow(t, p, m)) * pow((1 - t) % m, -1, m) % m
             assert lhs == rhs
     # same closed form inside a Galois ring
     ring = GaloisRing(MonicPoly((3, 1, 1), ModulusCtx(11, 2)))
     u = ring.elt([4, 7])
-    lhs = pounds(0, u)
+    lhs = ring_pounds(0, u)
     rhs = (u - u ** 11) * (ring.one() - u).inverse()
     assert lhs == rhs
 
 
 def test_wolstenholme_values():
     for p in (5, 7, 11, 13, 101):
-        assert pounds(1, ResidueInt(1, ModulusCtx(p, 2))).value == 0
-        assert pounds(2, ResidueInt(1, ModulusCtx(p, 1))).value == 0
+        assert pounds(1, 1, ModulusCtx(p, 2)) == 0
+        assert pounds(2, 1, ModulusCtx(p, 1)) == 0
 
 
 def test_pounds_commutes_with_precision_reduction():
@@ -60,9 +67,9 @@ def test_pounds_commutes_with_precision_reduction():
     for _ in range(20):
         t = rng.randrange(p ** 3)
         for s in (0, 1, 2):
-            v3 = pounds(s, ResidueInt(t, ModulusCtx(p, 3))).value
-            v2 = pounds(s, ResidueInt(t, ModulusCtx(p, 2))).value
-            v1 = pounds(s, ResidueInt(t, ModulusCtx(p, 1))).value
+            v3 = pounds(s, t, ModulusCtx(p, 3))
+            v2 = pounds(s, t, ModulusCtx(p, 2))
+            v1 = pounds(s, t, ModulusCtx(p, 1))
             assert v3 % p ** 2 == v2 and v2 % p == v1
 
 
@@ -73,19 +80,18 @@ def test_pounds_reduction_commutes_in_galois_rings():
     u3 = ring3.elt([4, 9])
     u1 = ring1.elt([4, 9])
     for s in (0, 1, 2):
-        high = pounds(s, u3)
-        low = pounds(s, u1)
+        high = ring_pounds(s, u3)
+        low = ring_pounds(s, u1)
         assert [v % 11 for v in high.coeffs] == list(low.coeffs)
 
 
 def test_fermat_quotient_examples():
-    assert fermat_quotient(1, 7).value == 0
-    assert fermat_quotient(2, 5).value == 3  # (16 - 1)/5
+    assert fermat_quotient(1, 7) == 0
+    assert fermat_quotient(2, 5) == 3  # (16 - 1)/5
     # pounds_1(1/2) = q_p(2) mod p
     for p in (5, 7, 11, 29):
         ctx = ModulusCtx(p, 1)
-        half = ResidueInt(pow(2, -1, p), ctx)
-        assert pounds(1, half).value == fermat_quotient(2, p).value
+        assert pounds(1, pow(2, -1, p), ctx) == fermat_quotient(2, p)
 
 
 def test_fermat_quotient_is_multiplicative_mod_p():
@@ -96,8 +102,8 @@ def test_fermat_quotient_is_multiplicative_mod_p():
             b = rng.randrange(1, 10 ** 6)
             if a % p == 0 or b % p == 0:
                 continue
-            q_ab = fermat_quotient(a * b, p).value
-            q_sum = (fermat_quotient(a, p).value + fermat_quotient(b, p).value) % p
+            q_ab = fermat_quotient(a * b, p)
+            q_sum = (fermat_quotient(a, p) + fermat_quotient(b, p)) % p
             assert q_ab == q_sum
 
 
@@ -115,14 +121,14 @@ def test_euler_dilog_cross_check():
     for p in (13, 17, 29, 1009, 1433):  # i in F_p
         i_val = next(a for a in range(2, p) if a * a % p == p - 1)
         ctx = ModulusCtx(p, 1)
-        lhs = pounds(2, ResidueInt(i_val, ctx)).value
+        lhs = pounds(2, i_val, ctx)
         sign = 1 if (p - 1) // 2 % 2 == 0 else -1
         rhs = (sign + i_val) * constants_table(p).euler_pm3 * pow(2, -1, p) % p
         assert lhs == rhs
     for p in (7, 11, 19):  # i lives in the quadratic extension
         ring = GaloisRing(MonicPoly((1, 0, 1), ModulusCtx(p, 1)))
         i_elt = ring.gen()
-        lhs = pounds(2, i_elt)
+        lhs = ring_pounds(2, i_elt)
         sign = 1 if (p - 1) // 2 % 2 == 0 else -1
         e_val = constants_table(p).euler_pm3
         rhs = (ring.scalar(sign) + i_elt) * (e_val * pow(2, -1, p) % p)
@@ -162,7 +168,7 @@ def test_constants_table_makes_no_binomial_calls(monkeypatch):
 
 def test_lucas_quotient():
     assert lucas_number_mod(7, 10 ** 6) == 29
-    assert lucas_quotient(7).value == 4  # (29 - 1)/7
+    assert lucas_quotient(7) == 4  # (29 - 1)/7
     # L_p = 1 mod p for every odd prime
     for p in (7, 11, 13, 101):
         assert lucas_number_mod(p, p) == 1
@@ -194,7 +200,24 @@ def test_functional_equation_sweep():
 
 def test_constants_table_consistency():
     ct = constants_table(11)
-    assert ct.qp2 == fermat_quotient(2, 11).value
+    assert ct.qp2 == fermat_quotient(2, 11)
     assert ct.qp2_sq % 11 == ct.qp2
-    assert ct.lucas_q == lucas_quotient(11).value
+    assert ct.lucas_q == lucas_quotient(11)
     assert constants_table(5).lucas_q is None
+
+
+def test_functional_equations_reuse_their_polylogs(monkeypatch):
+    # per sampled x: 3 orders at x and at 1/x, pounds_1(1-x), one value
+    # mod p^2, two mod p^3 and three more orbit points; the orbit's x, 1-x
+    # and 1/x entries reuse values already computed.  Plus 2 per prime.
+    calls = []
+    original = finlog.pounds
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(finlog, "pounds", counting)
+    reports = check_functional_equations(13, 8, 0)
+    assert len(calls) == 2 + 8 * 13
+    assert all(r.verdict == "pass" for r in reports)

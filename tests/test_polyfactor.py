@@ -10,7 +10,6 @@ from rkksums.errors import NotSquarefree, XNotUnit
 from rkksums.modring import ModulusCtx, MonicPoly
 from rkksums.polyfactor import (
     Degeneracy,
-    RootPolySpec,
     build_root_poly,
     classify_x,
     factor_mod_p,
@@ -24,14 +23,14 @@ from rkksums.polyfactor import (
 def test_build_root_poly_linear_case():
     # r=1: c - 1 + 1/x, so the single root is 1 - 1/x
     ctx = ModulusCtx(7, 1)
-    f = build_root_poly(RootPolySpec(1, Fraction(2), ctx))
+    f = build_root_poly(1, Fraction(2), ctx)
     assert f.coeffs == (3, 1)
     assert roots_mod_p(list(f.coeffs), 7) == [4]  # 1 - 1/2 = 4 mod 7
 
 
 def test_build_root_poly_rejects_zero_x():
     with pytest.raises(XNotUnit):
-        build_root_poly(RootPolySpec(3, Fraction(7), ModulusCtx(7, 1)))
+        build_root_poly(3, Fraction(7), ModulusCtx(7, 1))
 
 
 def test_root_poly_never_vanishes_at_zero_or_one():
@@ -41,10 +40,10 @@ def test_root_poly_never_vanishes_at_zero_or_one():
         r = rng.randrange(2, min(p, 7))
         x = rng.randrange(1, p)
         ctx = ModulusCtx(p, 2)
-        f = build_root_poly(RootPolySpec(r, Fraction(x), ctx))
+        f = build_root_poly(r, Fraction(x), ctx)
         inv_x = pow(x, -1, ctx.modulus)
-        assert f.evaluate(1).value == inv_x
-        assert f.evaluate(0).value == (-1) ** r % ctx.modulus
+        assert f.evaluate(1) == inv_x
+        assert f.evaluate(0) == (-1) ** r % ctx.modulus
 
 
 def test_classify_x_examples():
@@ -62,7 +61,7 @@ def test_classify_x_examples():
 def test_factor_examples():
     # (c-1)^3 + inv(2) c^2 splits into three linears mod 13: roots {6, 7, 9},
     # which are the global roots 1/2 and 1 +- i read mod 13 (i = 5)
-    fs = factor_mod_p(build_root_poly(RootPolySpec(3, Fraction(2), ModulusCtx(13, 1))))
+    fs = factor_mod_p(build_root_poly(3, Fraction(2), ModulusCtx(13, 1)))
     assert [g.degree for g in fs.factors] == [1, 1, 1]
     roots = sorted((-g.coeffs[0]) % 13 for g in fs.factors)
     assert roots == [6, 7, 9]
@@ -71,18 +70,18 @@ def test_factor_examples():
     assert sorted([pow(2, -1, 13), (1 + i_val) % 13, (1 - i_val) % 13]) == roots
 
     # mod 7 it splits as linear times irreducible quadratic (-1 non-residue)
-    fs7 = factor_mod_p(build_root_poly(RootPolySpec(3, Fraction(2), ModulusCtx(7, 1))))
+    fs7 = factor_mod_p(build_root_poly(3, Fraction(2), ModulusCtx(7, 1)))
     assert sorted(g.degree for g in fs7.factors) == [1, 2]
     linear = min(fs7.factors, key=lambda g: g.degree)
     assert linear.coeffs == (3, 1)  # c - 4
 
     # r=1: already linear
-    fs1 = factor_mod_p(build_root_poly(RootPolySpec(1, Fraction(2), ModulusCtx(7, 1))))
+    fs1 = factor_mod_p(build_root_poly(1, Fraction(2), ModulusCtx(7, 1)))
     assert len(fs1.factors) == 1 and fs1.factors[0].degree == 1
 
 
 def test_factor_degrees_independent_of_rng():
-    f = build_root_poly(RootPolySpec(5, Fraction(3), ModulusCtx(23, 1)))
+    f = build_root_poly(5, Fraction(3), ModulusCtx(23, 1))
     degree_sets = set()
     for seed in range(5):
         fs = factor_mod_p(f, random.Random(seed))
@@ -93,14 +92,14 @@ def test_factor_degrees_independent_of_rng():
 
 def test_factor_rejects_repeated_roots():
     ctx = ModulusCtx(11, 1)
-    f = build_root_poly(RootPolySpec(3, x0_value(3), ctx))
+    f = build_root_poly(3, x0_value(3), ctx)
     with pytest.raises(NotSquarefree):
         factor_mod_p(f)
 
 
 def test_hensel_identity_at_e1():
     ctx = ModulusCtx(11, 1)
-    f = build_root_poly(RootPolySpec(3, Fraction(4), ctx))
+    f = build_root_poly(3, Fraction(4), ctx)
     fs = factor_mod_p(f)
     assert hensel_lift(fs, f, 1) is fs
 
@@ -115,7 +114,7 @@ def test_hensel_product_certificates_random():
         if classify_x(r, Fraction(x), p) is not Degeneracy.NONDEGENERATE:
             continue
         ctx = ModulusCtx(p, e)
-        f = build_root_poly(RootPolySpec(r, Fraction(x), ctx))
+        f = build_root_poly(r, Fraction(x), ctx)
         lifted = hensel_lift(factor_mod_p(f.reduce(1), rng), f, e)
         assert lifted.product().coeffs == f.coeffs
         for g, g0 in zip(lifted.factors, factor_mod_p(f.reduce(1), rng).factors):
@@ -125,7 +124,7 @@ def test_hensel_product_certificates_random():
 def test_hensel_precision_consistency():
     # lifting to e=3 then reducing mod p^2 equals lifting to e=2
     ctx3 = ModulusCtx(13, 3)
-    f3 = build_root_poly(RootPolySpec(4, Fraction(5), ctx3))
+    f3 = build_root_poly(4, Fraction(5), ctx3)
     rng = random.Random(7)
     fs3 = hensel_lift(factor_mod_p(f3.reduce(1), random.Random(7)), f3, 3)
     fs2 = hensel_lift(factor_mod_p(f3.reduce(1), random.Random(7)), f3.reduce(2), 2)
@@ -179,7 +178,7 @@ def test_split_double_root_r4():
     assert got == expected
 
     # and the full reconstruction: (c - (1-r))^2 * cofactor = root poly
-    f = build_root_poly(RootPolySpec(4, x0_value(4), ModulusCtx(p, 1)))
+    f = build_root_poly(4, x0_value(4), ModulusCtx(p, 1))
     lin = MonicPoly(((-root) % p, 1), ModulusCtx(p, 1))
     recon = lin * lin
     for g in cof.factors:

@@ -6,7 +6,7 @@ from fractions import Fraction
 from helpers import naive_pounds, split_roots
 from rkksums import theorems as T
 from rkksums.finlog import fermat_quotient, pounds
-from rkksums.modring import ModulusCtx, ResidueInt
+from rkksums.modring import ModulusCtx
 from rkksums.primes import odd_primes_in
 
 
@@ -49,9 +49,9 @@ def test_rkksuk_r1_is_reciprocal_log_identity():
                 assert xv % p == 1
                 continue
             assert rep.verdict == "pass"
-            lhs = pounds(1, ResidueInt(xv, ModulusCtx(p, 1))).value
+            lhs = pounds(1, xv, ModulusCtx(p, 1))
             rhs = (-pow(xv, p, p)
-                   * pounds(1, ResidueInt(pow(xv, -1, p), ModulusCtx(p, 1))).value) % p
+                   * pounds(1, pow(xv, -1, p), ModulusCtx(p, 1))) % p
             assert lhs == rhs == rep.rhs
 
 
@@ -233,7 +233,7 @@ def test_rkkmod2_multiple_values():
         rep = T.check_rkkmod2_multiple(3, p)
         assert rep.verdict == "pass"
         m2 = p * p
-        q2 = fermat_quotient(2, p).value
+        q2 = fermat_quotient(2, p)
         expected = (pow(9, -1, m2)
                     + 8 * pow(27, -1, m2) * p * (3 + q2)) % m2
         assert rep.lhs == expected
@@ -298,15 +298,15 @@ def test_r3_beta_fixed_points():
         c = beta * (1 - beta) % p
         assert c == pow(2, -1, p)
         ctx = ModulusCtx(p, 1)
-        l1b = pounds(1, ResidueInt(beta, ctx)).value
-        l1b2 = pounds(1, ResidueInt((1 - beta) % p, ctx)).value
+        l1b = pounds(1, beta, ctx)
+        l1b2 = pounds(1, (1 - beta) % p, ctx)
         assert l1b == l1b2
-        q2 = fermat_quotient(2, p).value
+        q2 = fermat_quotient(2, p)
         # pounds_1((1+i)/2) = q_p(2)/2 and pounds_1(1/2) = q_p(2), so the
         # short-form right-hand side is -(3/2) q_p(2); multiplying by the
         # unit (1-c)^-p = 2 recovers the displayed value -3 q_p(2)
         assert l1b == q2 * pow(2, -1, p) % p
-        rhs_short = (3 * l1b - 3 * pounds(1, ResidueInt(c, ctx)).value) % p
+        rhs_short = (3 * l1b - 3 * pounds(1, c, ctx)) % p
         assert rhs_short == (-3 * q2 * pow(2, -1, p)) % p
         assert 2 * rhs_short % p == (-3 * q2) % p
 

@@ -3,7 +3,8 @@
 Root sums are computed in one ring built on the whole root polynomial, and
 polylog traces come from a linear recurrence.  These tests hold both to the
 element-level route they replaced: factoring mod p, Hensel lifting, one
-Galois ring per factor, and pounds() formed as a ring element.
+Galois ring per factor, and the polylog formed as a ring element
+(helpers.ring_pounds).
 """
 
 import functools
@@ -14,9 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import ring_pounds
 from rkksums import theorems as T
 from rkksums.errors import NonUnitDenominator, NotAUnit
-from rkksums.finlog import pounds
 from rkksums import kernels
 from rkksums.modring import GaloisRing, ModulusCtx, MonicPoly
 from rkksums.polyfactor import (
@@ -64,11 +65,11 @@ AGGREGATES = {
     "sum_one_minus_inv_c_pow_p": lambda R, c, r, p: (R.one() - c.inverse()) ** p,
     "sum_inv_one_minus_c_pow_p": lambda R, c, r, p: (R.one() - c).inverse() ** p,
     "sum_cp_over_cm1_p": lambda R, c, r, p: c ** p * (c - R.one()).inverse() ** p,
-    "sum_pounds1": lambda R, c, r, p: pounds(1, c),
+    "sum_pounds1": lambda R, c, r, p: ring_pounds(1, c),
     "sum_pounds1_short": lambda R, c, r, p: (
-        pounds(1, c) * (R.one() - c).inverse() ** p),
-    "sum_pounds2_c": lambda R, c, r, p: pounds(2, c),
-    "sum_pounds2_one_minus_c": lambda R, c, r, p: pounds(2, R.one() - c),
+        ring_pounds(1, c) * (R.one() - c).inverse() ** p),
+    "sum_pounds2_c": lambda R, c, r, p: ring_pounds(2, c),
+    "sum_pounds2_one_minus_c": lambda R, c, r, p: ring_pounds(2, R.one() - c),
     "sum_rkk_long": lambda R, c, r, p: (
         (c - c ** p) * (R.scalar(r - 1) + c).inverse()),
     "sum_rkk_short": lambda R, c, r, p: (
@@ -146,7 +147,7 @@ def test_double_root_cofactor_trace_matches_per_factor_reference(e):
                 R = GaloisRing(f)
                 c = R.gen()
                 q = (c - R.one()) * (R.scalar(r - 1) + c).inverse()
-                expected += int((q * (c ** p + r * p * pounds(1, c))).trace())
+                expected += int((q * (c ** p + r * p * ring_pounds(1, c))).trace())
             got = T._cofactor_trace(cofactor, r)
             assert got == expected % m, (r, p, e)
             non_split += any(f.degree > 1 for f in factors.factors)
