@@ -1,18 +1,21 @@
 """Brute-force left-hand sides: sum of binom(rk,k) * x^k / k^d over k ranges.
 
-Binomial coefficients are taken exactly (big integers) and reduced mod p^e,
-so the tables are immune to p-adic valuation mistakes.  The coefficients
-binom(rk,k) * k^-d of one range are cached as one tuple in Horner order,
-and lhs_sum evaluates that polynomial at x with one O(p) Horner loop,
-returning the residue as a plain int in [0, p^e).  The k^-d weights are
-the LHS's own: nothing here reads a table of the right-hand side.  Ranges
-are built-in range objects and follow the vanishing pattern of
+A table of binom(rk,k) mod p^e for 0 <= k < p is read off the factorials:
+n! = p^v(n) * u(n) with u(n) a unit, so binom(rk,k) = p^v * u(rk) /
+(u(k) u((r-1)k)) with v = v(rk) - v(k) - v((r-1)k), in O(r p) products
+and one batched inversion.  The exact big-integer table stays in the tests
+as the reference that guards this against p-adic valuation mistakes.  The
+coefficients binom(rk,k) * k^-d of one range are cached as one tuple in
+Horner order, and lhs_sum evaluates that polynomial at x with one O(p)
+Horner loop, returning the residue as a plain int in [0, p^e).  The k^-d
+weights are the LHS's own: nothing here reads a table of the right-hand
+side.  Ranges are built-in range objects and follow the vanishing pattern of
 binom(rk,k) mod p: inside [0, p) the coefficient is a unit only on the
 intervals A(r,m) = { k : (m-1)p/(r-1) <= k < mp/r } for 0 < m < r.
 """
 
 import functools
-import math
+from itertools import accumulate
 
 from . import kernels
 from .errors import ZeroInRange
@@ -41,11 +44,54 @@ def short_range(r, p, include_zero=False):
     return range(0 if include_zero else 1, -((-p) // r))  # up to ceil(p/r)
 
 
+def batch_inverse(values, m):
+    """The inverses mod m of the units in values: one pow, three products each."""
+    prefix, acc = [], 1
+    for v in values:
+        prefix.append(acc)
+        acc = acc * v % m
+    inv, out = pow(acc, -1, m), []
+    for v, before in zip(reversed(values), reversed(prefix)):
+        out.append(inv * before % m)
+        inv = inv * v % m
+    out.reverse()
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def inverse_table(p, e):
+    """k^-1 mod p^e for 0 <= k < p, with 0 at k = 0 (0 ** 0 == 1 keeps d = 0)."""
+    return (0, *batch_inverse(range(1, p), p ** e))
+
+
 @functools.lru_cache(maxsize=None)
 def binom_table(r, p, e):
-    """binom(rk,k) mod p^e for 0 <= k < p, from exact integer binomials."""
-    m = p ** e
-    return tuple(math.comb(r * k, k) % m for k in range(p))
+    """binom(rk,k) mod p^e for 0 <= k < p, from the p-adic factorials n!.
+
+    factors[n] is n with every factor p stripped and steps[n] = v_p(n), so
+    their running product and sum are u(n) and v(n) for n <= r(p-1)
+    (Legendre's formula; r >= p included).  v(k) = 0 for k < p.
+    """
+    if r == 1:
+        return (1,) * p  # binom(k, k)
+    m, top = p ** e, r * (p - 1)
+    factors, steps = list(range(top + 1)), [0] * (top + 1)
+    factors[0] = 1
+    for n in range(p, top + 1, p):
+        q, v = n // p, 1
+        while q % p == 0:
+            q, v = q // p, v + 1
+        factors[n], steps[n] = q, v
+    units, u = [], 1
+    for f in factors:
+        u = u * f % m
+        units.append(u)
+    vals = list(accumulate(steps))
+    # zip stops after p entries: k, (r-1)k and rk for 0 <= k < p
+    inv = batch_inverse([a * b % m for a, b in zip(units[:p], units[::r - 1])], m)
+    scale = [p ** v for v in range(e)] + [0] * (vals[top] + 1)   # p^v, 0 once v >= e
+    return tuple(u * i * scale[a - b] % m
+                 for u, i, a, b in zip(units[::r], inv, vals[::r], vals[::r - 1]))
 
 
 @functools.lru_cache(maxsize=64)
@@ -57,8 +103,8 @@ def lhs_coefficients(r, p, e, d, lo, hi):
     k >= (r-1)p/r.
     """
     m = p ** e
-    table = binom_table(r, p, e)
-    terms = [table[k] * pow(k, -d, m) % m for k in range(lo, hi)]
+    table, inv = binom_table(r, p, e), inverse_table(p, e)
+    terms = [b * i ** d % m for b, i in zip(table[lo:hi], inv[lo:hi])]
     while terms and not terms[-1]:
         terms.pop()
     return tuple(reversed(terms))

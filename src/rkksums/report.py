@@ -98,24 +98,29 @@ def render_csv(reports):
     return buf.getvalue()
 
 
-def _json_scalar(value):
-    if value is None:
-        return "null"
-    return json.dumps(value) if isinstance(value, str) else str(value)
-
-
 def render_json(reports):
     """The bytes of json.dumps(rows, indent=2) + "\\n", from a template.
 
     The indenting json encoder is pure Python; the row shape is fixed, so a
-    template writes the same text without it.
+    template writes the same text without it.  Its keys are those of
+    CongruenceReport.row(), in the same order.
     """
     if not reports:
         return "[]\n"
     rows = ",\n".join(
-        "  {\n"
-        + ",\n".join(f'    "{key}": {_json_scalar(value)}' for key, value in rep.row().items())
-        + "\n  }"
+        f'''  {{
+    "theoremId": {json.dumps(rep.theorem)},
+    "r": {rep.r},
+    "p": {rep.p},
+    "e": {rep.e},
+    "x_num": {"null" if rep.x is None else rep.x.numerator},
+    "x_den": {"null" if rep.x is None else rep.x.denominator},
+    "m": {"null" if rep.m is None else rep.m},
+    "lhs": {"null" if rep.lhs is None else rep.lhs},
+    "rhs": {"null" if rep.rhs is None else rep.rhs},
+    "modulus": {rep.modulus},
+    "verdict": {json.dumps(rep.verdict)}
+  }}'''
         for rep in reports
     )
     return f"[\n{rows}\n]\n"

@@ -179,7 +179,8 @@ class RootSums:
 
     def _image(self, mobius):
         if mobius not in self._images:
-            self._images[mobius] = _Image(image_poly(self._f, mobius, self.m), self.p, self.m)
+            chi = self._f if mobius == C else image_poly(self._f, mobius, self.m)
+            self._images[mobius] = _Image(chi, self.p, self.m)
         return self._images[mobius]
 
     @functools.cached_property

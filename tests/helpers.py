@@ -120,6 +120,12 @@ def bernoulli_poly_mod_p(n, a, p):
     return sum(math.comb(n, k) * bs[k] * pow(av, n - k, p) for k in range(n + 1)) % p
 
 
+def exact_binom_table(r, p, e):
+    """binom(rk,k) mod p^e for 0 <= k < p, from exact big-integer binomials."""
+    m = p ** e
+    return tuple(math.comb(r * k, k) % m for k in range(p))
+
+
 def lucas_binom_mod_p(n, k, p):
     """binom(n, k) mod p via the base-p digit product."""
     result = 1

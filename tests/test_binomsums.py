@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import lucas_binom_mod_p, naive_lhs
+from helpers import exact_binom_table, lucas_binom_mod_p, naive_lhs
 from rkksums.binomsums import (
     binom_table,
     full_range,
@@ -20,6 +20,7 @@ from rkksums.binomsums import (
 from rkksums.errors import ZeroInRange
 from rkksums.finlog import pounds
 from rkksums.modring import ModulusCtx
+from rkksums.primes import odd_primes_in
 
 
 def test_range_A_examples():
@@ -60,6 +61,41 @@ def test_binom_table_matches_lucas_at_e1():
         r = rng.randrange(1, 7)
         k = rng.randrange(p)
         assert binom_table(r, p, 1)[k] == lucas_binom_mod_p(r * k, k, p)
+
+
+def test_binom_table_equals_the_exact_table():
+    # r >= p included: then (rk)! holds p^2 and more
+    for p in odd_primes_in(3, 400):
+        for r in range(1, 8):
+            exact = exact_binom_table(r, p, 3)
+            for e in (1, 2, 3):
+                expected = tuple(b % p ** e for b in exact)
+                assert binom_table.__wrapped__(r, p, e) == expected, (r, p, e)
+
+
+@st.composite
+def table_entries(draw):
+    """(r, p, e, k) with p up to 1447, where p^3 is just under MAX_MODULUS."""
+    p = draw(st.sampled_from(odd_primes_in(3, 1448)))
+    return draw(st.integers(1, 8)), p, draw(st.integers(1, 3)), draw(st.integers(0, p - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(table_entries())
+@example((6, 1447, 3, 1446))
+@example((7, 3, 3, 2))
+def test_binom_table_entry_against_math_comb(case):
+    r, p, e, k = case
+    assert binom_table(r, p, e)[k] == math.comb(r * k, k) % p ** e
+
+
+def test_binom_table_takes_no_big_binomial(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("math.comb called")
+
+    monkeypatch.setattr(math, "comb", forbidden)
+    table = binom_table.__wrapped__(6, 1447, 3)
+    assert len(table) == 1447 and table[0] == 1 and table[1] == 6
 
 
 def test_lhs_sum_empty_range_and_zero_guard():

@@ -233,6 +233,13 @@ def test_a_family_reading_only_p_squared_runs_at_1451():
     assert {rep.verdict for rep in reports} == {"pass"}
 
 
+def test_the_binomial_sums_at_5003_all_pass():
+    summary, reports = run_cli(["--r", "3", "--primes", "5003", "--x", "2,3,5",
+                                "--theorems", "rkksuk,rkksuk_short,rkk"])
+    assert summary.total == 12
+    assert [rep.verdict for rep in reports] == ["pass"] * 12
+
+
 def test_numerics_at_a_large_prime_never_fail():
     # both sides of E_{p-3} and B_{p-2}(1/3): the brute-force sums at p = 1009
     summary, reports = run_cli(["--theorems", "numerics", "--primes", "1009"])

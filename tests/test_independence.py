@@ -47,7 +47,7 @@ def test_root_sums_never_read_the_binomial_tables(monkeypatch, e):
     def forbidden(*args, **kwargs):
         raise AssertionError("the right-hand side read the left-hand side")
 
-    for name in ("binom_table", "lhs_sum", "lhs_coefficients"):
+    for name in ("binom_table", "batch_inverse", "inverse_table", "lhs_sum", "lhs_coefficients"):
         monkeypatch.setattr(binomsums, name, forbidden)
     monkeypatch.setattr(theorems, "lhs_sum", forbidden)
 

@@ -125,3 +125,20 @@ def test_power_sums_below_p_are_built_once_per_image(monkeypatch):
     summary, _ = cli.run(config)
     assert summary.failed == 0 and summary.passed >= 3
     assert built and set(built.values()) == {1}, built
+
+
+def test_the_identity_image_is_f_itself(monkeypatch):
+    maps = []
+
+    def recording(f, mobius, m):
+        maps.append(mobius)
+        return image_poly(f, mobius, m)
+
+    monkeypatch.setattr(theorems, "image_poly", recording)
+    theorems.root_sums.cache_clear()
+    tags = [tag for tag, fam in theorems.FAMILIES.items() if fam.grid == theorems.RPX]
+    config = cli.RunConfig(r_values=[1, 2, 3, 4], primes=[7, 11, 13],
+                           x_values=[Fraction(2), Fraction(-1, 3)], theorems=tags)
+    summary, _ = cli.run(config)
+    assert summary.failed == 0 and summary.passed > 100
+    assert maps and theorems.C not in maps
