@@ -100,14 +100,15 @@ def lhs_coefficients(r, p, e, d, lo, hi):
 
     Zeros at the top are dropped, so Horner's rule starts at the highest
     nonzero term; at e = 1 and r >= 2, binom(rk,k) vanishes for every
-    k >= (r-1)p/r.
+    k >= (r-1)p/r.  k^-d is a unit for 0 < k < p, so a term vanishes
+    exactly where the table does: the top zeros are cut off the table
+    before anything is multiplied.
     """
     m = p ** e
     table, inv = binom_table(r, p, e), inverse_table(p, e)
-    terms = [b * i ** d % m for b, i in zip(table[lo:hi], inv[lo:hi])]
-    while terms and not terms[-1]:
-        terms.pop()
-    return tuple(reversed(terms))
+    while hi > lo and not table[hi - 1]:
+        hi -= 1
+    return tuple(reversed([b * i ** d % m for b, i in zip(table[lo:hi], inv[lo:hi])]))
 
 
 def lhs_sum(r, x, d, sum_range, ctx):

@@ -24,7 +24,7 @@ from .errors import ConfigError, ModulusTooLarge, RkksumsError
 from .modring import ModulusCtx, as_rational
 from .polyfactor import Degeneracy, classify_residue
 from .primes import odd_primes_in
-from .report import SKIP, CongruenceReport, RunSummary, emit_report
+from .report import CongruenceReport, RunSummary, emit_report, skipped
 from .theorems import EXACT, FAMILIES, P, PX, RP, RPX
 
 
@@ -96,15 +96,6 @@ def refuse_large_moduli(selected, primes):
                 raise ModulusTooLarge(f"{tag} at p = {p}: {exc}") from exc
 
 
-def _p_not_above_r(tag, r, p):
-    """The skip row for a per-(r, p) tag at a prime p <= r, outside every scope."""
-    e = FAMILIES[tag].e
-    return CongruenceReport(
-        theorem=tag, r=r, p=p, e=e, x=None, lhs=None, rhs=None,
-        modulus=p ** e, verdict=SKIP, reason="RequiresPGreaterThanR",
-    )
-
-
 class TaskError(Exception):
     """A task raised something other than an RkksumsError: a bug, not a verdict."""
 
@@ -156,7 +147,9 @@ def build_tasks(config):
     for r in config.r_values:
         for p in config.primes:
             if p <= r:
-                tasks += [partial(_p_not_above_r, tag, r, p) for tag, _ in on(RP, RPX)]
+                # a prime p <= r lies outside every per-(r, p) scope
+                tasks += [partial(skipped, tag, r, p, FAMILIES[tag].e, None,
+                                  "RequiresPGreaterThanR") for tag, _ in on(RP, RPX)]
                 continue
             tasks += [_task(rows, r, p, tag=tag, r=r, p=p) for tag, rows in on(RP)]
             at_x = {}  # x -> the tags and row functions of every tag that drew it

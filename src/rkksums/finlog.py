@@ -32,7 +32,7 @@ from fractions import Fraction
 from . import kernels
 from .errors import DivisibilityFailure
 from .modring import ModulusCtx, residue_from_rational
-from .report import CongruenceReport, verdict_of
+from .report import checked
 
 ORDERS = (0, 1, 2)
 
@@ -157,13 +157,6 @@ def constants_table(p):
     )
 
 
-def _fe_report(theorem, p, e, x, lhs, rhs):
-    return CongruenceReport(
-        theorem=theorem, r=0, p=p, e=e, x=x,
-        lhs=lhs, rhs=rhs, modulus=p ** e, verdict=verdict_of(lhs, rhs),
-    )
-
-
 def check_functional_equations(p, sample_count=8, seed=0):
     """Exercise the truncated-logarithm functional equations at random units.
 
@@ -184,8 +177,8 @@ def check_functional_equations(p, sample_count=8, seed=0):
 
     if p > 3:
         ctx3 = ModulusCtx(p, 3)
-        reports.append(_fe_report("wolstenholme_l1", p, 2, None, pounds(1, 1, ctx2), 0))
-        reports.append(_fe_report("wolstenholme_l2", p, 1, None, pounds(2, 1, ctx1), 0))
+        reports.append(checked("wolstenholme_l1", 0, p, 2, None, pounds(1, 1, ctx2), 0))
+        reports.append(checked("wolstenholme_l2", 0, p, 1, None, pounds(2, 1, ctx1), 0))
 
     for _ in range(sample_count):
         xv = rng.randrange(1, p)
@@ -196,18 +189,18 @@ def check_functional_equations(p, sample_count=8, seed=0):
         for s in ORDERS:
             lhs = pow(xv, p, p) * at_inv[s] % p
             rhs = (-1) ** s * at_x[s] % p
-            reports.append(_fe_report(f"fe_reciprocal_s{s}", p, 1, x, lhs, rhs))
+            reports.append(checked(f"fe_reciprocal_s{s}", 0, p, 1, x, lhs, rhs))
 
         l1 = at_x[1]
         l1c = pounds(1, 1 - xv, ctx1)
-        reports.append(_fe_report("fe_complement", p, 1, x, l1c, l1))
+        reports.append(checked("fe_complement", 0, p, 1, x, l1c, l1))
 
         # pounds_1(x) mod p^3 when p > 3, else mod p^2; fe_pth_power_sq reads it mod p^2
         l1_high = pounds(1, xv, ctx3 if p > 3 else ctx2)
         m2 = ctx2.modulus
         lhs2 = pow(1 - xv, p, m2)
         rhs2 = (1 - pow(xv, p, m2) - p * l1_high) % m2
-        reports.append(_fe_report("fe_pth_power_sq", p, 2, x, lhs2, rhs2))
+        reports.append(checked("fe_pth_power_sq", 0, p, 2, x, lhs2, rhs2))
 
         if p > 3:
             m3 = ctx3.modulus
@@ -218,7 +211,7 @@ def check_functional_equations(p, sample_count=8, seed=0):
                 - p * l1_high
                 - p * p * pounds(2, 1 - xv, ctx3)
             ) % m3
-            reports.append(_fe_report("fe_pth_power_cube", p, 3, x, lhs3, rhs3))
+            reports.append(checked("fe_pth_power_cube", 0, p, 3, x, lhs3, rhs3))
 
         if xv != 1:
             # orbit x, 1-x, 1/(1-x), x/(x-1), (x-1)/x, 1/x: all pounds_1
@@ -234,7 +227,7 @@ def check_functional_equations(p, sample_count=8, seed=0):
             ]
             orbit_ok = all(v == l1 for v in orbit)
             reports.append(
-                _fe_report("fe_six_orbit", p, 1, x, int(orbit_ok), 1)
+                checked("fe_six_orbit", 0, p, 1, x, int(orbit_ok), 1)
             )
 
             # the quotient identity needs exact integer arguments: q_p is
@@ -242,6 +235,6 @@ def check_functional_equations(p, sample_count=8, seed=0):
             q_x = fermat_quotient(xv, p)
             q_1mx = fermat_quotient(1 - xv, p)
             rhs_q = (-xv * q_x - (1 - xv) * q_1mx) % p
-            reports.append(_fe_report("fe_fermat_quotient", p, 1, x, l1, rhs_q))
+            reports.append(checked("fe_fermat_quotient", 0, p, 1, x, l1, rhs_q))
 
     return reports

@@ -255,7 +255,7 @@ class GaloisRing:
 
     def mul(self, a, b):
         return GaloisElt(
-            self, kernels.poly_mulmod(a.coeffs, b.coeffs, self._g, self.ctx.modulus)
+            self, mulmod(a.coeffs, b.coeffs, self._g, self.ctx.modulus)
         )
 
     def pow(self, a, n):
@@ -311,13 +311,6 @@ class GaloisRing:
             a0, b = affine
             coeffs = image_poly(self.modpoly.coeffs, (b, a0, 0, 1), m)
         return MonicPoly(tuple(coeffs), self.ctx)
-
-    def weighted_powers(self, a, weights):
-        """sum_k weights[k-1] * a^k; the workhorse behind finite polylogarithms."""
-        return GaloisElt(
-            self,
-            kernels.weighted_powers_poly(a.coeffs, weights, self._g, self.ctx.modulus),
-        )
 
     def __repr__(self):
         return f"GaloisRing(deg={self.degree}, mod {self.ctx.p}^{self.ctx.e})"

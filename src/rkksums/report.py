@@ -53,8 +53,23 @@ class CongruenceReport:
                 x.numerator, x.denominator, self.m or 0)
 
 
-def verdict_of(lhs, rhs):
-    return PASS if lhs == rhs else FAIL
+def checked(theorem, r, p, e, x, lhs, rhs, m=None):
+    """A compared row: both sides reduced mod p^e, and the verdict of their equality."""
+    modulus = p ** e
+    lhs %= modulus
+    rhs %= modulus
+    return CongruenceReport(
+        theorem=theorem, r=r, p=p, e=e, x=x, lhs=lhs, rhs=rhs,
+        modulus=modulus, verdict=PASS if lhs == rhs else FAIL, m=m,
+    )
+
+
+def skipped(theorem, r, p, e, x, reason, m=None):
+    """A row outside the theorem's scope: no sides, and the reason it was skipped."""
+    return CongruenceReport(
+        theorem=theorem, r=r, p=p, e=e, x=x, lhs=None, rhs=None,
+        modulus=p ** e, verdict=SKIP, m=m, reason=reason,
+    )
 
 
 @dataclass

@@ -55,7 +55,7 @@ from .polyfactor import (
     double_root_cofactor,
     x0_value,
 )
-from .report import FAIL, PASS, SKIP, CongruenceReport, verdict_of
+from .report import FAIL, PASS, CongruenceReport, checked, skipped
 
 
 @functools.lru_cache(maxsize=512)
@@ -295,22 +295,6 @@ def _ctx(p, e):
     return ModulusCtx(p, e)
 
 
-def _report(theorem, r, p, e, x, lhs, rhs, m=None):
-    lhs %= p ** e
-    rhs %= p ** e
-    return CongruenceReport(
-        theorem=theorem, r=r, p=p, e=e, x=x, lhs=lhs, rhs=rhs,
-        modulus=p ** e, verdict=verdict_of(lhs, rhs), m=m,
-    )
-
-
-def _skip(theorem, r, p, e, x, reason, m=None):
-    return CongruenceReport(
-        theorem=theorem, r=r, p=p, e=e, x=x, lhs=None, rhs=None,
-        modulus=p ** e, verdict=SKIP, m=m, reason=reason,
-    )
-
-
 class Point:
     """One (r, x, p) inside a family's scope, read at any precision e."""
 
@@ -330,10 +314,10 @@ class Point:
         return lhs_sum(self.r, self.x, d, sum_range, _ctx(self.p, e))
 
     def report(self, theorem, e, lhs, rhs, m=None):
-        return _report(theorem, self.r, self.p, e, self.x, lhs, rhs, m)
+        return checked(theorem, self.r, self.p, e, self.x, lhs, rhs, m)
 
     def skip(self, theorem, e, reason):
-        return _skip(theorem, self.r, self.p, e, self.x, reason)
+        return skipped(theorem, self.r, self.p, e, self.x, reason)
 
 
 # scope requirements besides p > r, each named by the reason its skip rows give
@@ -371,7 +355,7 @@ def _skip_rows(tag, r, x, p, m=None):
             windows = range(1, r) if m is None else (m,)
     if reason is None:
         return None
-    rows = [_skip(i, r, p, fam.e, x, reason, mi) for i in fam.ids or (tag,) for mi in windows]
+    rows = [skipped(i, r, p, fam.e, x, reason, mi) for i in fam.ids or (tag,) for mi in windows]
     return rows[0] if fam.one_row else rows
 
 
@@ -568,7 +552,7 @@ def check_central_pol(x, p):
     """Central binomial sum against the closed form (1-4x)^((p-1)/2) mod p."""
     x = as_rational(x)
     if x.denominator % p == 0:
-        return _skip("central_pol", 2, p, 1, x, "DenominatorNotUnit")
+        return skipped("central_pol", 2, p, 1, x, "DenominatorNotUnit")
     pt = Point(2, x, p)
     xv = residue_from_rational(x, _ctx(p, 1))
     rhs = pow((1 - 4 * xv) % p, (p - 1) // 2, p)
@@ -593,8 +577,8 @@ def check_cor_split(r, p):
     out = []
     for a in split_residues(r, p):
         x = Fraction(a)
-        out.append(_report("cor_split_long", r, p, 1, x, lhs_sum(r, x, 0, long, ctx), 0))
-        out.append(_report("cor_split_short", r, p, 1, x, lhs_sum(r, x, 0, short, ctx), 0))
+        out.append(checked("cor_split_long", r, p, 1, x, lhs_sum(r, x, 0, long, ctx), 0))
+        out.append(checked("cor_split_short", r, p, 1, x, lhs_sum(r, x, 0, short, ctx), 0))
     return out
 
 
@@ -614,11 +598,11 @@ def check_r3_beta(p, sample_count=8, seed=0):
         beta = rng.randrange(2, p - 1) if p > 5 else rng.randrange(1, p)
         c = beta * (1 - beta) % p
         if c == 0 or c == 1:
-            out.append(_skip("r3_beta_long", 3, p, 1, Fraction(beta), "DegenerateBeta"))
+            out.append(skipped("r3_beta_long", 3, p, 1, Fraction(beta), "DegenerateBeta"))
             continue
         x = c * c % p * pow((1 - c) % p, -3, p) % p
         if classify_residue(3, x, p) is not Degeneracy.NONDEGENERATE:
-            out.append(_skip("r3_beta_long", 3, p, 1, Fraction(beta), "DegenerateX"))
+            out.append(skipped("r3_beta_long", 3, p, 1, Fraction(beta), "DegenerateX"))
             continue
         pt = Point(3, Fraction(x), p)
         l1_beta = pounds(1, beta, ctx)
@@ -689,10 +673,10 @@ def check_numerics_table(p):
     out = []
     for row_id, r, x, d, sum_range, e, rhs_fn, admissible in _num_rows(p):
         if not admissible:
-            out.append(_skip(row_id, r, p, e, x, "ExcludedPrime"))
+            out.append(skipped(row_id, r, p, e, x, "ExcludedPrime"))
             continue
         lhs = Point(r, x, p).lhs(d, sum_range, e)
-        out.append(_report(row_id, r, p, e, x, lhs, rhs_fn()))
+        out.append(checked(row_id, r, p, e, x, lhs, rhs_fn()))
     return out
 
 

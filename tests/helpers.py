@@ -4,8 +4,8 @@ Everything here is deliberately naive: exact rational/big-integer
 arithmetic, brute-force root searches and Newton lifting of single roots.
 None of it shares code with the package's trace/charpoly machinery, so
 agreement is a genuine two-route check.  The one exception is ring_pounds,
-the polylog of a quotient-ring element, which is built on GaloisRing as the
-element-level reference for the polylog traces.
+the polylog of a quotient-ring element: a term-by-term sum in GaloisRing
+arithmetic, the element-level reference for the polylog traces.
 """
 
 import math
@@ -89,9 +89,13 @@ def naive_pounds(s, t, p, m):
 
 
 def ring_pounds(s, u):
-    """sum_{k=1}^{p-1} u^k / k^s for an element u of a GaloisRing, in that ring."""
-    ctx = u.ring.ctx
-    return u.ring.weighted_powers(u, [pow(k, -s, ctx.modulus) for k in range(1, ctx.p)])
+    """sum_{k=1}^{p-1} u^k / k^s for an element u of a GaloisRing, one term at a time."""
+    m = u.ring.ctx.modulus
+    acc, power = u.ring.zero(), u.ring.one()
+    for k in range(1, u.ring.ctx.p):
+        power = power * u
+        acc = acc + power * pow(k, -s, m)
+    return acc
 
 
 def euler_numbers_mod_p(p, upto):

@@ -1,6 +1,7 @@
 """CLI harness tests: config handling, report formats, determinism, exit codes."""
 
 import csv
+import functools
 import io
 import json
 import pathlib
@@ -351,3 +352,73 @@ def test_a_failing_functional_equation_is_a_fail_row(monkeypatch, capsys):
     rows = {row["theoremId"]: row["verdict"] for row in json.loads(capsys.readouterr().out)}
     assert code == 1
     assert rows == {"series_functional_eq": "fail", "series_log": "pass"}
+
+
+# negative controls for the exact families: a wrong coefficient anywhere in
+# the integer-only checks must reach the report as a fail row
+
+def exact_verdicts(argv, capsys):
+    code = cli.main(argv)
+    rows = json.loads(capsys.readouterr().out)
+    return code, {(row["theoremId"], row["r"]): row["verdict"] for row in rows}
+
+
+def test_a_bumped_catalan_coefficient_fails_both_series_rows(monkeypatch, capsys):
+    from rkksums import seriesid
+
+    original = seriesid.fuss_catalan
+
+    def bumped(r, order):
+        coeffs = original(r, order)
+        coeffs[3] += 1
+        return coeffs
+
+    monkeypatch.setattr(seriesid, "fuss_catalan", bumped)
+    code, rows = exact_verdicts(
+        ["--r", "2,3", "--theorems", "series", "--series-order", "10"], capsys)
+    assert code == 1
+    assert rows == {(tag, r): "fail" for tag in ("series_functional_eq", "series_log")
+                    for r in (2, 3)}
+
+
+def test_a_perturbed_power_sum_fails_an_identity_row(monkeypatch, capsys):
+    from rkksums import seriesid
+
+    original = seriesid.power_sums
+
+    def perturbed(r, n):
+        s, sprime = original(r, n)
+        s[2] = [s[2][0] + 1] + s[2][1:]
+        return s, sprime
+
+    monkeypatch.setattr(seriesid, "power_sums", perturbed)
+    # a fresh cache, so no sides built from the true power sums are read
+    monkeypatch.setattr(seriesid, "identity_sides",
+                        functools.lru_cache(maxsize=32)(seriesid.identity_sides.__wrapped__))
+    code, rows = exact_verdicts(
+        ["--r", "2,3", "--theorems", "identities", "--identity-n", "10"], capsys)
+    assert code == 1
+    assert len(rows) == 8
+    assert any(verdict == "fail" for (tag, _), verdict in rows.items()
+               if tag != "identity_ladder")
+
+
+def test_a_perturbed_id2b_side_fails_the_ladder(monkeypatch, capsys):
+    from rkksums import seriesid
+
+    original = seriesid.identity_sides
+
+    def perturbed(r, n):
+        sides = dict(original(r, n))
+        lhs2, rhs2 = sides["id2b"]
+        # add y, not a constant: d/dy would erase a constant
+        sides["id2b"] = (lhs2, (rhs2[0], rhs2[1] + 1) + rhs2[2:])
+        return sides
+
+    monkeypatch.setattr(seriesid, "identity_sides", perturbed)
+    code, rows = exact_verdicts(
+        ["--r", "2,3", "--theorems", "identities", "--identity-n", "10"], capsys)
+    assert code == 1
+    for r in (2, 3):
+        assert rows[("identity_ladder", r)] == "fail"
+        assert rows[("identity_id0", r)] == rows[("identity_id1b", r)] == "pass"

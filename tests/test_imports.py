@@ -39,3 +39,46 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
 def test_every_import_is_used(path):
     assert unused_imports(ast.parse(path.read_text())) == []
+
+
+def _referenced_names(node):
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names |= {alias.name for alias in sub.names}
+    return names
+
+
+def unused_helpers(trees):
+    """(module, line, name) of each module-level private def or class no module refers to.
+
+    trees maps a module name to its parsed source.  A helper's references
+    to itself (recursion) do not count as uses.
+    """
+    refs = [(node, _referenced_names(node)) for tree in trees.values() for node in tree.body]
+    return sorted(
+        (module, node.lineno, node.name)
+        for module, tree in trees.items() for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and not any(node.name in names for other, names in refs if other is not node))
+
+
+def test_the_check_sees_an_unused_helper():
+    trees = {
+        "a": ast.parse("def _used():\n    pass\n\n"
+                       "def _dead(n):\n    return _dead(n - 1)\n\n"
+                       "class _Shared:\n    pass\n\n"
+                       "def public():\n    return _used()\n"),
+        "b": ast.parse("from . import a\n\nVALUE = a._Shared()\n"),
+    }
+    assert unused_helpers(trees) == [("a", 4, "_dead")]
+
+
+def test_every_private_helper_is_used():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert unused_helpers(trees) == []

@@ -1,13 +1,10 @@
 """Tests for the exact series and polynomial-identity module."""
 
-import random
 from fractions import Fraction
 
 import pytest
 
 from rkksums.seriesid import (
-    PolyQ,
-    SeriesQ,
     check_differentiation_ladder,
     check_identities,
     check_series_log_identity,
@@ -18,12 +15,20 @@ from rkksums.seriesid import (
 )
 
 
+def evaluate(coeffs, v):
+    """A coefficient list, lowest degree first, evaluated at v by Horner's rule."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * v + c
+    return acc
+
+
 def test_fuss_catalan_families():
-    catalan = fuss_catalan(2, 8).coeffs
+    catalan = fuss_catalan(2, 8)
     assert catalan[:6] == [1, 1, 2, 5, 14, 42]
-    geometric = fuss_catalan(1, 8).coeffs
-    assert all(c == 1 for c in geometric)
-    assert fuss_catalan(3, 5).coeffs[2] == 3  # binom(7,2)/7
+    geometric = fuss_catalan(1, 8)
+    assert geometric == [1] * 9
+    assert fuss_catalan(3, 5)[2] == 3  # binom(7,2)/7
 
 
 def test_fuss_catalan_residual_is_zero():
@@ -37,41 +42,22 @@ def test_series_log_identity():
     assert check_series_log_identity(1, 25)
 
 
-def test_series_log_first_coefficient():
-    # order-1 coefficient of r*log(B_r) is binom(r,1) = r
-    for r in (1, 2, 3, 7):
-        b = fuss_catalan(r, 6)
-        assert (b.log() * r).coeffs[1] == r
-
-
-def test_series_inverse_and_log_roundtrip():
-    rng = random.Random(0)
-    coeffs = [Fraction(1)] + [Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))
-                              for _ in range(12)]
-    f = SeriesQ(coeffs, 12)
-    assert (f * f.inverse()) == SeriesQ.one(12)
-    # d/dx log f = f'/f below the truncation boundary
-    got = f.log().derivative().coeffs[:12]
-    expected = (f.derivative() * f.inverse()).coeffs[:12]
-    assert got == expected
-
-
 def test_power_sums_base_cases():
     s, sp = power_sums(2, 4)
-    assert s[1].coeffs == [2, -1]              # s_1 = r - y
-    assert s[2].coeffs == [2, -4, 1]           # s_2 = y^2 - 4y + 2
-    assert sp[1].coeffs == [-1]
+    assert s[1] == [2, -1]              # s_1 = r - y
+    assert s[2] == [2, -4, 1]           # s_2 = y^2 - 4y + 2
+    assert sp[1] == [-1]
     # y = 0 means all roots are 1, so s_k = r
     for r in (1, 2, 3, 5):
         s_r, _ = power_sums(r, 6)
         for k in range(1, 7):
-            assert s_r[k].evaluate(0) == r
+            assert evaluate(s_r[k], 0) == r
 
 
 def test_identity_smallest_case():
     sides = identity_sides(4, 1)
     lhs0, rhs0 = sides["id0"]
-    assert lhs0 == PolyQ([1]) and rhs0 == PolyQ([1])
+    assert lhs0 == rhs0 == (1,)
 
 
 def test_identities_exact():
@@ -108,7 +94,7 @@ def test_power_sum_shadow_matches_trace_path():
 
             if classify_residue(3, xv, p) is not Degeneracy.NONDEGENERATE:
                 continue
-            exact = s[p].evaluate(Fraction(1, xv))
+            exact = evaluate(s[p], Fraction(1, xv))
             rs = theorems.root_sums(3, Fraction(xv), p, 3)
             assert rational_mod(exact, p ** 3) == rs.sum_c_pow_p
 
@@ -124,4 +110,4 @@ def test_newton_identities_against_explicit_roots():
     for k in range(2, 9):
         sk.append((Fraction(2) - y) * sk[k - 1] - sk[k - 2])
     for k in range(1, 9):
-        assert s[k].evaluate(y) == sk[k]
+        assert evaluate(s[k], y) == sk[k]
