@@ -91,7 +91,7 @@ def refuse_large_moduli(selected, primes):
             if fam.grid == EXACT:
                 continue
             try:
-                ModulusCtx(p, max(fam.e, fam.reads_e))
+                ModulusCtx(p, fam.max_e)
             except ModulusTooLarge as exc:
                 raise ModulusTooLarge(f"{tag} at p = {p}: {exc}") from exc
 
@@ -116,15 +116,12 @@ def _task(fn, *args, **where):
     return partial(_at, where, fn, *args)
 
 
-def _run_point(fns, r, p, x):
-    return [rows(r, p, x) for rows in fns]
-
-
 def build_tasks(config):
     """The flat list of independent callables the run executes.
 
     The (r, p, x) grid is walked once: at each point one task runs every
-    selected per-(r, p, x) tag, so the tags share the point's root sums.
+    selected per-(r, p, x) tag (theorems.point_rows), so the tags share the
+    point's guard and its root sums.
     Task order never reaches the report, because run sorts its rows.
     """
     selected = []
@@ -152,13 +149,13 @@ def build_tasks(config):
                                   "RequiresPGreaterThanR") for tag, _ in on(RP, RPX)]
                 continue
             tasks += [_task(rows, r, p, tag=tag, r=r, p=p) for tag, rows in on(RP)]
-            at_x = {}  # x -> the tags and row functions of every tag that drew it
-            for tag, rows in on(RPX):
+            at_x = {}  # x -> the tags that drew it, once per draw
+            for tag, _ in on(RPX):
                 for x in draw_x_values(config, tag, r, p):
-                    at_x.setdefault(x, {}).setdefault(tag, []).append(rows)
-            tasks += [_task(_run_point, [f for fs in at.values() for f in fs], r, p, x,
-                            tag=",".join(at), r=r, p=p, x=x)
-                      for x, at in at_x.items()]
+                    at_x.setdefault(x, []).append(tag)
+            tasks += [_task(theorems.point_rows, tags, r, p, x,
+                            tag=",".join(dict.fromkeys(tags)), r=r, p=p, x=x)
+                      for x, tags in at_x.items()]
     return tasks
 
 

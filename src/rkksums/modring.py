@@ -284,33 +284,18 @@ class GaloisRing:
         """Trace of multiplication by a: the sum of a over the roots of g."""
         return kernels.trace_mult(a.coeffs, self._g, self.ctx.modulus)
 
-    def _affine(self, a):
-        """(a0, b) when a = a0 + b*c, else None."""
-        if self.degree == 1:
-            return a.coeffs[0], 0
-        if any(a.coeffs[2:]):
-            return None
-        return a.coeffs[0], a.coeffs[1]
-
     def charpoly(self, a):
         """Characteristic polynomial of multiplication by a.
 
         Its coefficients are the signed elementary symmetric functions of a
-        evaluated at the roots of g.  For a = a0 + b*c it is the image
-        polynomial of c -> b c + a0, straight from g; otherwise
-        Faddeev-LeVerrier, which divides only by 1..deg(g), all units mod
-        p^e since deg(g) < p.
+        evaluated at the roots of g.  Faddeev-LeVerrier, which divides only
+        by 1..deg(g), all units mod p^e since deg(g) < p; it never calls
+        image_poly, which it is the reference for.
         """
         m = self.ctx.modulus
-        affine = self._affine(a)
-        if affine is None:
-            mat = kernels.mult_matrix(a.coeffs, self._g, m)
-            inverses = [pow(k, -1, m) for k in range(1, self.degree + 1)]
-            coeffs = kernels.fl_charpoly(mat, inverses, m)
-        else:
-            a0, b = affine
-            coeffs = image_poly(self.modpoly.coeffs, (b, a0, 0, 1), m)
-        return MonicPoly(tuple(coeffs), self.ctx)
+        mat = kernels.mult_matrix(a.coeffs, self._g, m)
+        inverses = [pow(k, -1, m) for k in range(1, self.degree + 1)]
+        return MonicPoly(tuple(kernels.fl_charpoly(mat, inverses, m)), self.ctx)
 
     def __repr__(self):
         return f"GaloisRing(deg={self.degree}, mod {self.ctx.p}^{self.ctx.e})"

@@ -15,11 +15,14 @@ is built on this path; GaloisRing and the factoring in polyfactor are the
 reference the tests compare with.
 
 FAMILIES has one row per CLI tag: the grid it walks, its precision, its
-scope, its skip-row ids and the function computing its rows.  One guard
-(_skip_rows, and _guarded for the per-(r, p, x) checkers) coerces x and
+scope, its skip-row ids and the function computing its rows.  _skip_rows
 turns a point outside a family's scope, or a degenerate x, into skip rows.
-Inside the scope a checker gets a Point, which builds the contexts, x^p and
-the root sums, so each checker keeps only its mathematics.
+The per-(r, p, x) tags run through point_rows, which coerces and classifies
+x once per point, emits each tag's skip rows and hands the tags inside
+their scope one Point.  Its root sums are read at the highest precision
+any of those tags reads, and each checker reduces what it reads to its own
+modulus, so a checker check_X(pt) keeps only its mathematics and returns
+a list of rows.
 """
 
 import functools
@@ -32,7 +35,7 @@ from fractions import Fraction
 
 from . import finlog, seriesid
 from .binomsums import full_range, lhs_sum, range_A_star, short_range
-from .errors import DenominatorNotUnit, NonUnitDenominator
+from .errors import DenominatorNotUnit
 from .finlog import constants_table, pounds, pounds_from_traces
 from .kernels import mulmod
 from .modring import (
@@ -240,14 +243,13 @@ class RootSums:
 
         With h the characteristic polynomial of c^p and
         g(t) = (h(t) - h(1))/(t - 1), 1/(1 - c^p) = g(c^p)/h(1), so the
-        second term is h(1)^-1 sum_j g_j (T_(jp+1) - T_(jp)).
+        second term is h(1)^-1 sum_j g_j (T_(jp+1) - T_(jp)).  h(1) is a
+        unit: mod p it is prod (1 - c_i)^p = f(1)^p = x^-p.
         """
         r, m = self.r, self.m
         c, t = self._image(C), self._shift_traces
         h = from_power_sums([r] + [c.power_sum_p(k) for k in range(1, r + 1)], m)
         g, h_at_one = _synthetic_div(h, 1, m)
-        if math.gcd(h_at_one, m) != 1:
-            raise NonUnitDenominator(f"1 - c^p is not a unit mod {m}")
         acc = g[0] * (t[1] - t[0]) + sum(
             gj * (c.at_p(t[1:], j) - c.at_p(t[:r], j)) for j, gj in enumerate(g[1:], 1))
         return (t[0] + acc * pow(h_at_one, -1, m)) % m
@@ -281,10 +283,10 @@ class RootSums:
         return tuple(from_power_sums(sums, self.m))
 
 
-# The grid walk asks for a key only while it is at that key's point (at
-# most three precisions per point), so a small cache keeps every repeat;
-# a larger one only holds finished points' sequences in memory.
-@functools.lru_cache(maxsize=64)
+# The grid walk asks for one key per point (one precision per point), and
+# only while it is at that point, so two entries keep every repeat; more
+# would only hold finished points' sequences in memory.
+@functools.lru_cache(maxsize=2)
 def root_sums(r, x, p, e):
     return RootSums(r, x, p, e)
 
@@ -295,14 +297,18 @@ def _ctx(p, e):
     return ModulusCtx(p, e)
 
 
+@dataclass(frozen=True)
 class Point:
-    """One (r, x, p) inside a family's scope, read at any precision e."""
+    """One (r, x, p) inside its families' scope; its root sums are read at p^e."""
 
-    def __init__(self, r, x, p):
-        self.r, self.x, self.p = r, x, p
+    r: int
+    x: Fraction
+    p: int
+    e: int
 
-    def rs(self, e):
-        return root_sums(self.r, self.x, self.p, e)
+    @property
+    def rs(self):
+        return root_sums(self.r, self.x, self.p, self.e)
 
     def xp(self, e):
         """x^p mod p^e."""
@@ -339,87 +345,81 @@ def _degeneracy_reason(r, x, p):
     return None
 
 
-def _skip_rows(tag, r, x, p, m=None):
-    """tag's skip rows at (r, x, p), shaped like its checker's rows, or None.
+def _skip_rows(tag, r, x, p, degeneracy=None):
+    """tag's skip rows at (r, x, p), or [] inside its scope.
 
-    A missed scope requirement gives one row per skip id; on a per-(r, p, x)
-    grid a degenerate x gives one per skip id and window.
+    A missed scope requirement gives one row per skip id; failing that, a
+    degenerate x (degeneracy names why) gives one per skip id and window.
     """
     fam = FAMILIES[tag]
     missed = {R_AT_LEAST_2: r < 2, P_ABOVE_3: p <= 3, P_COPRIME_TO_R_RM1: r * (r - 1) % p == 0}
     reason = next((req for req in fam.scope if missed[req]), None)
     windows = (None,)
-    if reason is None and fam.grid == RPX:
-        reason = _degeneracy_reason(r, x, p)
-        if fam.windows:
-            windows = range(1, r) if m is None else (m,)
     if reason is None:
-        return None
-    rows = [skipped(i, r, p, fam.e, x, reason, mi) for i in fam.ids or (tag,) for mi in windows]
-    return rows[0] if fam.one_row else rows
+        reason = degeneracy
+        if fam.windows:
+            windows = range(1, r)
+    if reason is None:
+        return []
+    return [skipped(i, r, p, fam.e, x, reason, m) for i in fam.ids or (tag,) for m in windows]
 
 
-def _guarded(tag):
-    """Turn the mathematics of a per-(r, p, x) family into its checker.
+def point_rows(tags, r, p, x):
+    """The rows of the per-(r, p, x) tags at one point, skip rows included.
 
-    The mathematics takes a Point inside the scope (and, for rkksuk_z, the
-    window m); the checker takes (r, x, p) instead and returns the skip rows
-    outside the scope.
+    x is coerced and classified once.  The tags inside their scope share one
+    Point, read at the highest precision any of them reads; a tag named
+    twice runs twice.
     """
-    def decorate(rows_at):
-        def check(r, x, p, *window, **kw):
-            x = as_rational(x)
-            skip = _skip_rows(tag, r, x, p, *window, **kw)
-            return rows_at(Point(r, x, p), *window, **kw) if skip is None else skip
+    x = as_rational(x)
+    degeneracy = _degeneracy_reason(r, x, p)
+    rows, inside = [], []
+    for tag in tags:
+        skip = _skip_rows(tag, r, x, p, degeneracy)
+        if skip:
+            rows += skip
+        else:
+            inside.append(FAMILIES[tag])
+    if inside:
+        pt = Point(r, x, p, max(fam.max_e for fam in inside))
+        for fam in inside:
+            rows += fam.rows(pt)
+    return rows
 
-        check.__name__ = check.__qualname__ = rows_at.__name__
-        check.__doc__ = rows_at.__doc__
-        return check
 
-    return decorate
-
-
-@_guarded("rkksuk")
 def check_rkksuk(pt):
     """Full-range sum of binom(rk,k) x^k / k against -r x^p * sum pounds_1(c_i) mod p."""
-    rhs = -pt.r * pt.xp(1) * pt.rs(1).sum_pounds1
-    return pt.report("rkksuk", 1, pt.lhs(1, full_range(pt.p), 1), rhs)
+    rhs = -pt.r * pt.xp(1) * pt.rs.sum_pounds1
+    return [pt.report("rkksuk", 1, pt.lhs(1, full_range(pt.p), 1), rhs)]
 
 
-@_guarded("rkksuk_short")
 def check_rkksuk_short(pt):
     """Short-range sum against -sum pounds_1(c_i)/(1-c_i)^p mod p."""
     lhs = pt.lhs(1, short_range(pt.r, pt.p), 1)
-    return pt.report("rkksuk_short", 1, lhs, -pt.rs(1).sum_pounds1_short)
+    return [pt.report("rkksuk_short", 1, lhs, -pt.rs.sum_pounds1_short)]
 
 
-@_guarded("rkk")
 def check_rkk(pt):
     """Both derivative congruences for sums of binom(rk,k) x^k mod p."""
-    r, p, rs = pt.r, pt.p, pt.rs(1)
+    r, p, rs = pt.r, pt.p, pt.rs
     lhs_long = pt.lhs(0, full_range(p), 1)
     out = [pt.report("rkk_long", 1, lhs_long, -r * pt.xp(1) * rs.sum_rkk_long)]
     if r >= 2:
-        try:
-            rhs_short = -rs.sum_rkk_short
-        except NonUnitDenominator:
-            return out + [pt.skip("rkk_short", 1, "NonUnitDenominator")]
-        out.append(pt.report("rkk_short", 1, pt.lhs(0, short_range(r, p), 1), rhs_short))
+        lhs_short = pt.lhs(0, short_range(r, p), 1)
+        out.append(pt.report("rkk_short", 1, lhs_short, -rs.sum_rkk_short))
     return out
 
 
-@_guarded("lemma_technical")
 def check_lemma_technical(pt):
     """sum 1/(1-c_i)^p == (r-1) * sum c_i^p/(c_i-1)^p mod p^2 (r >= 2)."""
-    rs = pt.rs(2)
-    return pt.report("lemma_technical", 2, rs.sum_inv_one_minus_c_pow_p,
-                     (pt.r - 1) * rs.sum_cp_over_cm1_p)
+    rs = pt.rs
+    return [pt.report("lemma_technical", 2, rs.sum_inv_one_minus_c_pow_p,
+                      (pt.r - 1) * rs.sum_cp_over_cm1_p)]
 
 
-@_guarded("mystery")
 def check_mystery(pt):
     """The two p-th power sum congruences mod p^2 for the roots and their reciprocals."""
-    r, rs = pt.r, pt.rs(2)
+    r, rs = pt.r, pt.rs
     x_inv_p = pow(pt.xp(2), -1, pt.p ** 2)
     lhs_a = (r - 1) * rs.sum_c_pow_p + r * rs.sum_one_minus_c_pow_p
     lhs_b = rs.sum_inv_c_pow_p + r * rs.sum_one_minus_inv_c_pow_p
@@ -430,38 +430,35 @@ def check_mystery(pt):
     ]
 
 
-@_guarded("rkksuk_z")
-def check_rkksuk_z(pt, m=None):
+def check_rkksuk_z(pt):
     """Per-window elementary-symmetric congruence mod p^2, one row per m.
 
     Also emits a certificate row: the constant term of the combined
     characteristic polynomial of (c/(c-1))^p must equal x^p mod p^2.
     """
     r, p = pt.r, pt.p
-    charpoly = pt.rs(2).z_inverse_pow_p_charpoly
+    charpoly = pt.rs.z_inverse_pow_p_charpoly
     inv_r = pow(r, -1, p)
     out = []
-    for mi in range(1, r) if m is None else [m]:
+    for m in range(1, r):
         # the inner sum is multiplied by p, so it is only needed mod p;
         # this keeps the binomial table requirement at e=1
-        lhs = p * (inv_r * pt.lhs(1, range_A_star(r, mi, p), 1) % p)
-        delta = 1 if mi == 1 else 0
-        out.append(pt.report("rkksuk_z", 2, lhs, delta + charpoly[r - mi], m=mi))
+        lhs = p * (inv_r * pt.lhs(1, range_A_star(r, m, p), 1) % p)
+        delta = 1 if m == 1 else 0
+        out.append(pt.report("rkksuk_z", 2, lhs, delta + charpoly[r - m], m=m))
     out.append(pt.report("rkksuk_z_const", 2, charpoly[0], pt.xp(2)))
     return out
 
 
-@_guarded("rkksuk_long")
 def check_rkksuk_long(pt):
     """(p/r) * full-range sum of binom(rk,k) x^k/k == -x^p + prod(1 - z_i^-p) mod p^2."""
     r, p = pt.r, pt.p
     lhs = p * (pow(r, -1, p) * pt.lhs(1, full_range(p), 1) % p)
     # prod(1 - z_i^-p) is the combined characteristic polynomial at T = 1
-    prod_at_one = sum(pt.rs(2).z_inverse_pow_p_charpoly)
-    return pt.report("rkksuk_long", 2, lhs, prod_at_one - pt.xp(2))
+    prod_at_one = sum(pt.rs.z_inverse_pow_p_charpoly)
+    return [pt.report("rkksuk_long", 2, lhs, prod_at_one - pt.xp(2))]
 
 
-@_guarded("rkksukk")
 def check_rkksukk(pt):
     """Full-range sum with 1/k^2 mod p, plus the p^2-divisibility certificate.
 
@@ -469,47 +466,44 @@ def check_rkksukk(pt):
     computed mod p^3 and must vanish mod p^2; the quotient joins
     r x^p sum pounds_2(1-c_i) to form the right-hand side.
     """
-    r, p, rs3 = pt.r, pt.p, pt.rs(3)
-    terms = (r - 1) * (rs3.sum_c_pow_p - r) + r * rs3.sum_one_minus_c_pow_p
+    r, p, rs = pt.r, pt.p, pt.rs
+    terms = (r - 1) * (rs.sum_c_pow_p - r) + r * rs.sum_one_minus_c_pow_p
     bracket = (-1 + pt.xp(3) * terms) % p ** 3
     cert = pt.report("rkksukk_cert", 2, bracket % (p * p), 0)
     if cert.verdict == FAIL:
         cert.reason = "DivisibilityFailure"
         return [cert, pt.skip("rkksukk", 1, "DivisibilityFailure")]
-    rhs = bracket // (p * p) + r * pt.xp(1) * pt.rs(1).sum_pounds2_one_minus_c
+    rhs = bracket // (p * p) + r * pt.xp(1) * rs.sum_pounds2_one_minus_c
     return [cert, pt.report("rkksukk", 1, pt.lhs(2, full_range(p), 1), rhs)]
 
 
-@_guarded("rkksukmod2")
 def check_rkksukmod2(pt):
     """Full-range sum with 1/k mod p^2, plus the p-divisibility certificate."""
-    r, p, rs3, rs1 = pt.r, pt.p, pt.rs(3), pt.rs(1)
-    terms = (r - 2) * (rs3.sum_c_pow_p - r) + r * rs3.sum_one_minus_c_pow_p
+    r, p, rs = pt.r, pt.p, pt.rs
+    terms = (r - 2) * (rs.sum_c_pow_p - r) + r * rs.sum_one_minus_c_pow_p
     bracket = (2 - pt.xp(3) * terms) % p ** 3
     cert = pt.report("rkksukmod2_cert", 1, bracket % p, 0)
     if cert.verdict == FAIL:
         cert.reason = "DivisibilityFailure"
         return [cert, pt.skip("rkksukmod2", 2, "DivisibilityFailure")]
-    delta = (rs1.sum_pounds2_c - rs1.sum_pounds2_one_minus_c) % p
+    delta = (rs.sum_pounds2_c - rs.sum_pounds2_one_minus_c) % p
     rhs = bracket // p + p * (r * pt.xp(1) * delta % p)
     return [cert, pt.report("rkksukmod2", 2, pt.lhs(1, full_range(p), 2), rhs)]
 
 
-@_guarded("rkkmod2")
 def check_rkkmod2(pt):
     """Sum over 0 <= k < p of binom(rk,k) x^k mod p^2 via the root formula."""
     lhs = pt.lhs(0, full_range(pt.p, include_zero=True), 2)
-    return pt.report("rkkmod2", 2, lhs, -pt.xp(2) * pt.rs(2).sum_mod2_full)
+    return [pt.report("rkkmod2", 2, lhs, -pt.xp(2) * pt.rs.sum_mod2_full)]
 
 
-@_guarded("rkkmod2_var")
 def check_rkkmod2_var(pt):
     """Sum over 0 < k < p variant mod p^2, plus the k=0 cross-identity.
 
     The two right-hand sides must differ by exactly the k=0 term:
     rhs(closed range) - rhs(open range) == 1 mod p^2.
     """
-    xp, rs = pt.xp(2), pt.rs(2)
+    xp, rs = pt.xp(2), pt.rs
     rhs = xp * rs.sum_mod2_open
     return [
         pt.report("rkkmod2_var", 2, pt.lhs(0, full_range(pt.p), 2), rhs),
@@ -536,7 +530,7 @@ def check_rkkmod2_multiple(r, p):
     skip = _skip_rows("rkkmod2_multiple", r, x0, p)
     if skip:
         return skip
-    pt = Point(r, x0, p)
+    pt = Point(r, x0, p, 2)
     m2 = p * p
     double_root, cofactor = double_root_cofactor(r, p, 2)
     lhs = pt.lhs(0, full_range(p, include_zero=True), 2)
@@ -545,7 +539,7 @@ def check_rkkmod2_multiple(r, p):
     head = ((r - 2 + 3 * p * r) * pow(r - 1, p - 1, m2) - tail) % m2
     term1 = 2 * pt.xp(2) * pow(3, -1, m2) * head
     term2 = pt.xp(2) * _cofactor_trace(cofactor, r) if cofactor.degree else 0
-    return pt.report("rkkmod2_multiple", 2, lhs, term1 - term2)
+    return [pt.report("rkkmod2_multiple", 2, lhs, term1 - term2)]
 
 
 def check_central_pol(x, p):
@@ -553,7 +547,7 @@ def check_central_pol(x, p):
     x = as_rational(x)
     if x.denominator % p == 0:
         return skipped("central_pol", 2, p, 1, x, "DenominatorNotUnit")
-    pt = Point(2, x, p)
+    pt = Point(2, x, p, 1)
     xv = residue_from_rational(x, _ctx(p, 1))
     rhs = pow((1 - 4 * xv) % p, (p - 1) // 2, p)
     return pt.report("central_pol", 1, pt.lhs(0, short_range(2, p, include_zero=True), 1), rhs)
@@ -604,7 +598,7 @@ def check_r3_beta(p, sample_count=8, seed=0):
         if classify_residue(3, x, p) is not Degeneracy.NONDEGENERATE:
             out.append(skipped("r3_beta_long", 3, p, 1, Fraction(beta), "DegenerateX"))
             continue
-        pt = Point(3, Fraction(x), p)
+        pt = Point(3, Fraction(x), p, 1)
         l1_beta = pounds(1, beta, ctx)
         l1_c = pounds(1, c, ctx)
         one_minus_c = (1 - c) % p
@@ -675,7 +669,7 @@ def check_numerics_table(p):
         if not admissible:
             out.append(skipped(row_id, r, p, e, x, "ExcludedPrime"))
             continue
-        lhs = Point(r, x, p).lhs(d, sum_range, e)
+        lhs = lhs_sum(r, x, d, sum_range, _ctx(p, e))
         out.append(checked(row_id, r, p, e, x, lhs, rhs_fn()))
     return out
 
@@ -717,7 +711,7 @@ def _samples(config):
 
 
 # grids: the part of the (r, p, x) sweep one call of a family's rows takes
-RPX = "rpx"        # rows(r, p, x)
+RPX = "rpx"        # rows(Point), through point_rows
 RP = "rp"          # rows(r, p)
 PX = "px"          # rows(p, x); the checker fixes r = 2
 P = "p"            # rows(p, config)
@@ -730,37 +724,37 @@ class Family:
 
     grid: str                # the part of the sweep one call of rows takes
     e: int                   # the precision of the tag's rows and skip rows
-    rows: object             # computes the rows; calls the checker by module-level name
+    rows: object             # the rows from the grid's arguments (a Point on RPX); calls
+                             # the checker by module-level name, so it can be rebound
     scope: tuple = ()        # requirements besides p > r, named by their skip reasons
     ids: tuple = ()          # the skip rows' theorem ids, when not just the tag
-    one_row: bool = False    # the checker returns a bare row, not a list
     windows: bool = False    # a degenerate x skips each window m = 1..r-1
     default: bool = True     # run when no tags are named
     reads_e: int = 0         # the highest precision the checker reads, when above e
 
+    @property
+    def max_e(self):
+        """The highest precision the tag reads: it bounds the moduli a run
+        needs and sets the root-sum precision of a point the tag shares."""
+        return max(self.e, self.reads_e)
+
 
 FAMILIES = {
-    "rkksuk": Family(RPX, 1, lambda r, p, x: check_rkksuk(r, x, p), one_row=True),
-    "rkksuk_short": Family(RPX, 1, lambda r, p, x: check_rkksuk_short(r, x, p), one_row=True),
-    "rkk": Family(RPX, 1, lambda r, p, x: check_rkk(r, x, p), ids=("rkk_long", "rkk_short")),
-    "rkksuk_z": Family(
-        RPX, 2, lambda r, p, x: check_rkksuk_z(r, x, p), (R_AT_LEAST_2,), windows=True),
-    "rkksuk_long": Family(
-        RPX, 2, lambda r, p, x: check_rkksuk_long(r, x, p), (R_AT_LEAST_2,), one_row=True),
-    "lemma_technical": Family(
-        RPX, 2, lambda r, p, x: check_lemma_technical(r, x, p), (R_AT_LEAST_2,), one_row=True),
+    "rkksuk": Family(RPX, 1, lambda pt: check_rkksuk(pt)),
+    "rkksuk_short": Family(RPX, 1, lambda pt: check_rkksuk_short(pt)),
+    "rkk": Family(RPX, 1, lambda pt: check_rkk(pt), ids=("rkk_long", "rkk_short")),
+    "rkksuk_z": Family(RPX, 2, lambda pt: check_rkksuk_z(pt), (R_AT_LEAST_2,), windows=True),
+    "rkksuk_long": Family(RPX, 2, lambda pt: check_rkksuk_long(pt), (R_AT_LEAST_2,)),
+    "lemma_technical": Family(RPX, 2, lambda pt: check_lemma_technical(pt), (R_AT_LEAST_2,)),
     "mystery": Family(
-        RPX, 2, lambda r, p, x: check_mystery(r, x, p), (R_AT_LEAST_2,),
-        ("mystery_a", "mystery_b")),
-    "rkksukk": Family(
-        RPX, 1, lambda r, p, x: check_rkksukk(r, x, p), (P_ABOVE_3,), reads_e=3),
-    "rkksukmod2": Family(
-        RPX, 2, lambda r, p, x: check_rkksukmod2(r, x, p), (P_ABOVE_3,), reads_e=3),
-    "rkkmod2": Family(RPX, 2, lambda r, p, x: check_rkkmod2(r, x, p), one_row=True),
-    "rkkmod2_var": Family(RPX, 2, lambda r, p, x: check_rkkmod2_var(r, x, p), (R_AT_LEAST_2,)),
+        RPX, 2, lambda pt: check_mystery(pt), (R_AT_LEAST_2,), ("mystery_a", "mystery_b")),
+    "rkksukk": Family(RPX, 1, lambda pt: check_rkksukk(pt), (P_ABOVE_3,), reads_e=3),
+    "rkksukmod2": Family(RPX, 2, lambda pt: check_rkksukmod2(pt), (P_ABOVE_3,), reads_e=3),
+    "rkkmod2": Family(RPX, 2, lambda pt: check_rkkmod2(pt)),
+    "rkkmod2_var": Family(RPX, 2, lambda pt: check_rkkmod2_var(pt), (R_AT_LEAST_2,)),
     "rkkmod2_multiple": Family(
         RP, 2, lambda r, p: check_rkkmod2_multiple(r, p),
-        (R_AT_LEAST_2, P_ABOVE_3, P_COPRIME_TO_R_RM1), one_row=True),
+        (R_AT_LEAST_2, P_ABOVE_3, P_COPRIME_TO_R_RM1)),
     "central_pol": Family(PX, 1, lambda p, x: check_central_pol(x, p)),
     "cor_split": Family(RP, 1, lambda r, p: check_cor_split(r, p), default=False),
     "r3_beta": Family(

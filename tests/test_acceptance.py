@@ -52,9 +52,9 @@ def test_criterion_1_mod_p_theorems():
     for r in range(1, 7):
         for p in odd_primes_in(r + 1, 300):
             for x in draw_x(r, p, 20):
-                assert_all_pass(T.check_rkksuk(r, x, p), "rkksuk")
-                assert_all_pass(T.check_rkksuk_short(r, x, p), "rkksuk_short")
-                rows = assert_all_pass(T.check_rkk(r, x, p), "rkk")
+                assert_all_pass(T.point_rows(["rkksuk"], r, p, x), "rkksuk")
+                assert_all_pass(T.point_rows(["rkksuk_short"], r, p, x), "rkksuk_short")
+                rows = assert_all_pass(T.point_rows(["rkk"], r, p, x), "rkk")
                 checks += 2 + len(rows)
                 if r >= 2:
                     assert len(rows) == 2  # the short form must not skip
@@ -66,8 +66,8 @@ def test_criterion_2_window_congruences():
     for r in range(2, 6):
         for p in odd_primes_in(r + 1, 200):
             for x in draw_x(r, p, 10):
-                rows = assert_all_pass(T.check_rkksuk_z(r, x, p), "rkksuk_z")
-                long_row = assert_all_pass(T.check_rkksuk_long(r, x, p), "long")[0]
+                rows = assert_all_pass(T.point_rows(["rkksuk_z"], r, p, x), "rkksuk_z")
+                long_row = assert_all_pass(T.point_rows(["rkksuk_long"], r, p, x), "long")[0]
                 window = [row for row in rows if row.theorem == "rkksuk_z"]
                 assert len(window) == r - 1
                 m2 = p * p
@@ -82,15 +82,15 @@ def test_criterion_3_mod_p2_theorems():
     for r in range(1, 6):
         for p in odd_primes_in(max(3, r) + 1, 200):
             for x in draw_x(r, p, 10):
-                rows52 = assert_all_pass(T.check_rkksukk(r, x, p), "rkksukk")
+                rows52 = assert_all_pass(T.point_rows(["rkksukk"], r, p, x), "rkksukk")
                 assert {row.theorem for row in rows52} == {"rkksukk_cert", "rkksukk"}
-                rows53 = assert_all_pass(T.check_rkksukmod2(r, x, p), "rkksukmod2")
+                rows53 = assert_all_pass(T.point_rows(["rkksukmod2"], r, p, x), "rkksukmod2")
                 assert {row.theorem for row in rows53} == {
                     "rkksukmod2_cert", "rkksukmod2"}
-                assert_all_pass(T.check_rkkmod2(r, x, p), "rkkmod2")
+                assert_all_pass(T.point_rows(["rkkmod2"], r, p, x), "rkkmod2")
                 checks += len(rows52) + len(rows53) + 1
                 if r >= 2:
-                    rows55 = assert_all_pass(T.check_rkkmod2_var(r, x, p), "rkkmod2_var")
+                    rows55 = assert_all_pass(T.point_rows(["rkkmod2_var"], r, p, x), "rkkmod2_var")
                     cross = [row for row in rows55
                              if row.theorem == "rkkmod2_cross"]
                     assert len(cross) == 1  # rhs(closed range) - rhs(open range) == 1 mod p^2
@@ -146,8 +146,8 @@ def test_criterion_7_lemma_and_remark():
     for r in range(2, 6):
         for p in odd_primes_in(r + 1, 200):
             for x in draw_x(r, p, 10):
-                assert_all_pass(T.check_lemma_technical(r, x, p), "lemma_technical")
-                rows = assert_all_pass(T.check_mystery(r, x, p), "mystery")
+                assert_all_pass(T.point_rows(["lemma_technical"], r, p, x), "lemma_technical")
+                rows = assert_all_pass(T.point_rows(["mystery"], r, p, x), "mystery")
                 assert {row.theorem for row in rows} == {"mystery_a", "mystery_b"}
                 checks += 1 + len(rows)
     print(f"[acceptance] criterion 7: PASS ({checks} checks)")

@@ -1,9 +1,10 @@
 """The benchmark's untraced run must stay well-formed and correct on this tree.
 
 perfbench/run.py grades every sweep's report against the recorded golden
-digests and prints its result as the last line of standard output.  This
-runs its shortest run on the lhs_exact workload (the split scan, the
-numerical table, the exact series) and checks that result's shape.
+digests and prints its result as the last line of standard output.  These
+run its shortest run on each workload and check that result's shape:
+lhs_exact (the split scan, the numerical table, the exact series), and the
+two root-sum workloads, whose points run through theorems.point_rows.
 """
 
 import json
@@ -12,11 +13,13 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def test_lhs_exact_run_is_correct_and_numeric():
-    argv = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "lhs_exact",
+def assert_run_is_correct_and_numeric(workload):
+    argv = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
             "--seed", "0", "--seconds", "0", "--trace", "0"]
     proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -27,3 +30,12 @@ def test_lhs_exact_run_is_correct_and_numeric():
         value = result["metrics"][metric["name"]]["value"]
         assert not isinstance(value, bool) and isinstance(value, (int, float)), metric
         assert math.isfinite(value), metric
+
+
+def test_lhs_exact_run_is_correct_and_numeric():
+    assert_run_is_correct_and_numeric("lhs_exact")
+
+
+@pytest.mark.parametrize("workload", ["modp2_shared", "modp_random"])
+def test_root_sum_run_is_correct_and_numeric(workload):
+    assert_run_is_correct_and_numeric(workload)

@@ -279,14 +279,16 @@ def test_primes_not_above_r_get_skip_rows():
 
 def test_tags_sharing_a_point_run_there_together(monkeypatch):
     # the grid is walked once: every (r, x, p) asks for its root sums in one
-    # contiguous run, whichever tags and precisions ask
+    # contiguous run, whichever tags ask, and at one precision
     from rkksums import theorems
 
     calls = []
+    precisions = {}
     original = theorems.root_sums
 
     def recording(r, x, p, e):
         calls.append((r, x, p))
+        precisions.setdefault((r, x, p), set()).add(e)
         return original(r, x, p, e)
 
     monkeypatch.setattr(theorems, "root_sums", recording)
@@ -295,6 +297,7 @@ def test_tags_sharing_a_point_run_there_together(monkeypatch):
     runs = [key for i, key in enumerate(calls) if i == 0 or calls[i - 1] != key]
     assert len(set(calls)) > 1
     assert len(runs) == len(set(runs))
+    assert all(len(es) == 1 for es in precisions.values()), precisions
 
 
 def test_json_template_matches_json_dumps():
@@ -315,17 +318,31 @@ def test_json_template_matches_json_dumps():
 
 
 def test_a_crash_exits_3_with_one_internal_error_line(monkeypatch, capsys):
-    # a bug in a checker is not a failed congruence: exit 3, not 1
+    # a bug at a point is not a failed congruence: exit 3, not 1
     from rkksums import theorems
 
-    def broken(r, x, p):
+    def broken(tags, r, p, x):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(theorems, "check_rkksuk", broken)
+    monkeypatch.setattr(theorems, "point_rows", broken)
     code = cli.main(["--r", "2", "--primes", "11", "--x", "3", "--theorems", "rkksuk"])
     err = capsys.readouterr().err.strip().splitlines()
     assert code == 3
     assert err == ["internal error: tag=rkksuk, r=2, p=11, x=3: RuntimeError: boom"]
+
+
+def test_a_crash_in_a_checker_exits_3(monkeypatch, capsys):
+    # the checker runs inside the point's task, so its crash names that task
+    from rkksums import theorems
+
+    def broken(pt):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(theorems, "check_rkksuk", broken)
+    code = cli.main(["--r", "2", "--primes", "11", "--x", "2", "--theorems", "rkksuk,rkk"])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 3
+    assert err == ["internal error: tag=rkksuk,rkk, r=2, p=11, x=2: RuntimeError: boom"]
 
 
 def test_repeated_x_and_tags_are_merged(capsys):

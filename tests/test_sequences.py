@@ -4,14 +4,15 @@ RootSums takes every quantity from power sums of Moebius-image polynomials
 (modring.image_poly) and from jumps t^N mod chi (modring.jump).  These
 tests hold the helpers to the element-level GaloisRing, on random monic
 moduli that need not be squarefree, and check that a sweep never builds a
-ring element, nor one image's power sums below p twice.
+ring element, nor one image's power sums below p twice, and that every
+root sum a checker reads reduces from p^3 to the value computed at p or p^2.
 """
 
 import operator
 from collections import Counter
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rkksums import cli, theorems
@@ -26,6 +27,8 @@ from rkksums.modring import (
     jump,
     power_sums,
 )
+from rkksums.polyfactor import Degeneracy, classify_x
+from rkksums.primes import odd_primes_in
 
 MOBIUS = [theorems.C, theorems.ONE_MINUS_C, theorems.INV_C,
           theorems.ONE_MINUS_INV_C, theorems.W, theorems.Z]
@@ -142,3 +145,34 @@ def test_the_identity_image_is_f_itself(monkeypatch):
     summary, _ = cli.run(config)
     assert summary.failed == 0 and summary.passed > 100
     assert maps and theorems.C not in maps
+
+
+# every RootSums attribute a checker reads
+READ_BY_CHECKERS = sorted(
+    [name for name in vars(theorems.RootSums) if name.startswith("sum_")]
+    + ["z_inverse_pow_p_charpoly"])
+
+
+@st.composite
+def nondegenerate_points(draw):
+    """(r, x, p): r <= 6, an odd prime p <= 60 above r, and a nondegenerate x."""
+    r = draw(st.integers(1, 6))
+    p = draw(st.sampled_from(odd_primes_in(r + 1, 60)))
+    x = Fraction(draw(st.integers(-60, 60)), draw(st.integers(1, 60)))
+    assume(x.denominator % p and classify_x(r, x, p) is Degeneracy.NONDEGENERATE)
+    return r, x, p
+
+
+@settings(max_examples=60, deadline=None)
+@given(nondegenerate_points())
+def test_every_root_sum_a_checker_reads_commutes_with_reduction(point):
+    # a Point reads its root sums at the highest precision of its tags, so a
+    # checker at a lower precision reads them reduced
+    r, x, p = point
+    high = theorems.RootSums(r, x, p, 3)
+    for e in (1, 2):
+        low, m = theorems.RootSums(r, x, p, e), p ** e
+        for name in READ_BY_CHECKERS:
+            value = getattr(high, name)
+            reduced = tuple(v % m for v in value) if isinstance(value, tuple) else value % m
+            assert reduced == getattr(low, name), (name, r, x, p, e)

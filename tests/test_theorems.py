@@ -28,13 +28,13 @@ def test_central_pol():
 
 
 def test_generic_checkers_skip_degenerate_x():
-    rep = T.check_rkksuk(3, Fraction(7), 7)
+    [rep] = T.point_rows(["rkksuk"], 3, 7, Fraction(7))
     assert rep.verdict == "skip" and rep.reason == "DegenerateX:zero"
-    rep = T.check_rkksuk(3, Fraction(4, 27), 11)
+    [rep] = T.point_rows(["rkksuk"], 3, 11, Fraction(4, 27))
     assert rep.verdict == "skip" and rep.reason == "DegenerateX:x0"
-    rep = T.check_rkkmod2(2, Fraction(1, 4), 13)
+    [rep] = T.point_rows(["rkkmod2"], 2, 13, Fraction(1, 4))
     assert rep.verdict == "skip" and rep.reason == "DegenerateX:x0"
-    rep = T.check_rkksuk(3, Fraction(1, 7), 7)
+    [rep] = T.point_rows(["rkksuk"], 3, 7, Fraction(1, 7))
     assert rep.verdict == "skip" and rep.reason == "DenominatorNotUnit"
 
 
@@ -44,7 +44,7 @@ def test_rkksuk_r1_is_reciprocal_log_identity():
         for xv in range(2, p):
             if xv == 1:
                 continue
-            rep = T.check_rkksuk(1, Fraction(xv), p)
+            [rep] = T.point_rows(["rkksuk"], 1, p, Fraction(xv))
             if rep.verdict == "skip":
                 assert xv % p == 1
                 continue
@@ -140,7 +140,7 @@ def test_mystery_explicit_quadratic():
     assert sorted(roots) == [12, 23]
     rs = T.root_sums(2, Fraction(3), p, 2)
     assert rs.sum_c_pow_p == sum(pow(c, p, m) for c in roots) % m
-    reports = all_pass(T.check_mystery(2, Fraction(3), p))
+    reports = all_pass(T.point_rows(["mystery"], 2, p, Fraction(3)))
     lhs_direct = (sum(pow(c, p, m) for c in roots)
                   + 2 * sum(pow(1 - c, p, m) for c in roots)) % m
     assert reports[0].lhs == lhs_direct
@@ -151,16 +151,16 @@ def test_mystery_full_grid():
     for r in (2, 3, 4):
         for p in odd_primes_in(r + 1, 60):
             for _ in range(4):
-                all_pass(T.check_mystery(r, Fraction(rng.randrange(1, p)), p))
+                all_pass(T.point_rows(["mystery"], r, p, Fraction(rng.randrange(1, p))))
 
 
 def test_lemma_technical_r1_skips():
-    rep = T.check_lemma_technical(1, Fraction(2), 7)
+    [rep] = T.point_rows(["lemma_technical"], 1, 7, Fraction(2))
     assert rep.verdict == "skip" and rep.reason == "RequiresRAtLeast2"
 
 
 def test_rkkmod2_var_r1_skips():
-    reps = T.check_rkkmod2_var(1, Fraction(2), 7)
+    reps = T.point_rows(["rkkmod2_var"], 1, 7, Fraction(2))
     assert reps[0].verdict == "skip" and reps[0].reason == "RequiresRAtLeast2"
 
 
@@ -168,7 +168,7 @@ def test_rkkmod2_r1_exact_geometric():
     # r=1 closed range: sum_{0<=k<p} x^k, an exact geometric identity
     for p in (5, 11):
         for xv in (2, 3):
-            rep = T.check_rkkmod2(1, Fraction(xv), p)
+            [rep] = T.point_rows(["rkkmod2"], 1, p, Fraction(xv))
             assert rep.verdict == "pass"
             m = p * p
             geo = sum(pow(xv, k, m) for k in range(p)) % m
@@ -181,11 +181,11 @@ def test_window_rows_aggregate_to_long_row():
         for p in odd_primes_in(r + 1, 40):
             xv = rng.randrange(1, p)
             x = Fraction(xv)
-            rows = T.check_rkksuk_z(r, x, p)
+            rows = T.point_rows(["rkksuk_z"], r, p, x)
             if rows[0].verdict == "skip":
                 continue
             all_pass(rows)
-            long_row = T.check_rkksuk_long(r, x, p)
+            [long_row] = T.point_rows(["rkksuk_long"], r, p, x)
             all_pass(long_row)
             m2 = p * p
             window_rows = [row for row in rows if row.theorem == "rkksuk_z"]
@@ -199,15 +199,15 @@ def test_mod_p_reductions_tie_theorem_families():
         for p in odd_primes_in(max(r + 1, 5), 50):
             xv = rng.randrange(1, p)
             x = Fraction(xv)
-            main53 = T.check_rkksukmod2(r, x, p)[-1]
+            main53 = T.point_rows(["rkksukmod2"], r, p, x)[-1]
             if main53.verdict == "skip":
                 continue
-            rep41 = T.check_rkksuk(r, x, p)
+            [rep41] = T.point_rows(["rkksuk"], r, p, x)
             all_pass([main53, rep41])
             assert main53.lhs % p == rep41.lhs
 
-            rep54 = T.check_rkkmod2(r, x, p)
-            rows44 = T.check_rkk(r, x, p)
+            [rep54] = T.point_rows(["rkkmod2"], r, p, x)
+            rows44 = T.point_rows(["rkk"], r, p, x)
             all_pass([rep54, *rows44])
             # closed range = open range + the k=0 term, reduced mod p
             assert rep54.lhs % p == (rows44[0].lhs + 1) % p
@@ -219,7 +219,7 @@ def test_rkkmod2_cross_identity_value():
     for r in (2, 3, 5):
         for p in odd_primes_in(r + 1, 60):
             x = Fraction(rng.randrange(1, p))
-            rows = T.check_rkkmod2_var(r, x, p)
+            rows = T.point_rows(["rkkmod2_var"], r, p, x)
             if rows[0].verdict == "skip":
                 continue
             cross = rows[1]
@@ -230,7 +230,7 @@ def test_rkkmod2_cross_identity_value():
 def test_rkkmod2_multiple_values():
     # r=3: 1/9 + (8/27) p (3 + q_p(2)) mod p^2, hence 1/9 mod p
     for p in (7, 11, 13, 31):
-        rep = T.check_rkkmod2_multiple(3, p)
+        [rep] = T.check_rkkmod2_multiple(3, p)
         assert rep.verdict == "pass"
         m2 = p * p
         q2 = fermat_quotient(2, p)
@@ -242,7 +242,7 @@ def test_rkkmod2_multiple_values():
     from rkksums.finlog import legendre
 
     for p in (7, 11, 17, 19):
-        rep = T.check_rkkmod2_multiple(4, p)
+        [rep] = T.check_rkkmod2_multiple(4, p)
         assert rep.verdict == "pass"
         expected = (11 * pow(72, -1, p) + pow(288, -1, p) * legendre(-2, p)) % p
         assert rep.lhs % p == expected
@@ -335,5 +335,5 @@ def test_numerics_table_small_primes():
 
 
 def test_rkk_short_form_only_for_r_at_least_2():
-    rows = T.check_rkk(1, Fraction(3), 7)
+    rows = T.point_rows(["rkk"], 1, 7, Fraction(3))
     assert [row.theorem for row in rows] == ["rkk_long"]

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 from helpers import ring_pounds
 from rkksums import theorems as T
 from rkksums.errors import NonUnitDenominator, NotAUnit
-from rkksums import kernels
-from rkksums.modring import GaloisRing, ModulusCtx, MonicPoly
+from rkksums import kernels, modring
+from rkksums.modring import GaloisRing, ModulusCtx, MonicPoly, image_poly
 from rkksums.polyfactor import (
     Degeneracy,
     classify_residue,
@@ -34,7 +34,8 @@ from rkksums.primes import odd_primes_in
 def ring_elements(draw):
     """A random monic modulus of degree 1..6 (reducible ones included) and u.
 
-    u is affine in c (a0 + b*c, the fast path) or a general element.
+    u is affine in c (a0 + b*c, whose image polynomial is also checked) or a
+    general element.
     """
     p = draw(st.sampled_from([7, 11, 13, 31]))
     e = draw(st.integers(1, 3))
@@ -50,12 +51,30 @@ def ring_elements(draw):
 @settings(max_examples=60, deadline=None)
 @given(ring_elements())
 def test_charpoly_matches_faddeev_leverrier(elements):
+    # for affine u = a0 + b c the characteristic polynomial is the image
+    # polynomial of c -> b c + a0, which the root sums read
     ring, u = elements
-    m = ring.ctx.modulus
-    mat = kernels.mult_matrix(u.coeffs, ring.modpoly.coeffs, m)
+    m, g = ring.ctx.modulus, ring.modpoly.coeffs
+    mat = kernels.mult_matrix(u.coeffs, g, m)
     inverses = [pow(k, -1, m) for k in range(1, ring.degree + 1)]
-    expected = kernels.fl_charpoly(mat, inverses, m)
-    assert ring.charpoly(u).coeffs == tuple(expected)
+    expected = tuple(kernels.fl_charpoly(mat, inverses, m))
+    assert ring.charpoly(u).coeffs == expected
+    if not any(u.coeffs[2:]):
+        a0, b = u.coeffs[0], u.coeffs[1] if ring.degree > 1 else 0
+        assert image_poly(g, (b, a0, 0, 1), m) == expected
+
+
+def test_charpoly_never_calls_image_poly(monkeypatch):
+    # the reference stays independent of the image polynomials it checks
+    def broken(*args):
+        raise AssertionError("image_poly called")
+
+    monkeypatch.setattr(modring, "image_poly", broken)
+    ring, m = GaloisRing(MonicPoly((3, 1, 4, 1), ModulusCtx(11, 2))), 121
+    u = ring.elt([2, 3])
+    mat = kernels.mult_matrix(u.coeffs, ring.modpoly.coeffs, m)
+    inverses = [pow(k, -1, m) for k in range(1, 4)]
+    assert ring.charpoly(u).coeffs == tuple(kernels.fl_charpoly(mat, inverses, m))
 
 
 AGGREGATES = {
