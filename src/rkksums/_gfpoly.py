@@ -1,13 +1,17 @@
-"""Polynomial helpers over the prime field F_p.
+"""The reference's polynomial arithmetic: polynomials over F_p, and products mod monic divisors.
 
 Polynomials are Python lists of ints in [0, p), lowest degree first, with no
-trailing zeros (the zero polynomial is []).  Used by the factorization
-pipeline and to seed Galois-ring inversion; the hot loops live in kernels.py.
+trailing zeros (the zero polynomial is []).  This is the arithmetic of the
+quotient-ring and factoring reference (modring.GaloisRing, polyfactor) that
+the tests hold the root-sum sequences to; the sequences run on kernels, and
+neither module imports the other.
 
 mul needs no inverse, so it works for any modulus, not only a prime: it is
 also the one plain product of monic polynomials over Z/p^e (MonicPoly
 products and the Hensel lift), where the leading coefficient stays 1 and
-the trim never fires.
+the trim never fires.  For the same reason mulmod and powmod are exact mod
+p^e when the divisor is monic: the one inverse divmod_ takes is that of its
+leading coefficient, 1.
 """
 
 
@@ -20,16 +24,6 @@ def trim(a):
 
 def degree(a):
     return len(a) - 1
-
-
-def add(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, v in enumerate(a):
-        out[i] = v
-    for i, v in enumerate(b):
-        out[i] = (out[i] + v) % p
-    return trim(out)
 
 
 def sub(a, b, p):
@@ -136,10 +130,3 @@ def powmod(a, n, f, p):
 
 def derivative(a, p):
     return trim([a[i] * i % p for i in range(1, len(a))])
-
-
-def evaluate(a, x, p):
-    acc = 0
-    for coef in reversed(a):
-        acc = (acc * x + coef) % p
-    return acc

@@ -64,7 +64,13 @@ def inverse_table(p, e):
     return (0, *batch_inverse(range(1, p), p ** e))
 
 
-@functools.lru_cache(maxsize=None)
+# cli.build_tasks walks the primes once for the per-prime tags, which read at
+# most five tables per p, then r outside p for the per-(r, p) tags, which
+# read one or two per (r, p).  Neither walk comes back to a finished point,
+# so eight entries keep every repeat read within a walk, and p-length tables
+# are not held for the rest of the run.  A table both walks read (numerics
+# and cor_split in one run) is built twice.
+@functools.lru_cache(maxsize=8)
 def binom_table(r, p, e):
     """binom(rk,k) mod p^e for 0 <= k < p, from the p-adic factorials n!.
 

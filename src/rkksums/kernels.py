@@ -1,22 +1,35 @@
-"""Hot numeric kernels: modular sums and polynomial arithmetic on Python ints.
+"""The right-hand side's arithmetic: root-sum sequences and modular sums on Python ints.
 
 Every residue is a Python int in [0, mod), so no product can overflow and
 the moduli the package accepts are bounded only by its input contract
 (modring.MAX_MODULUS).  Polynomials are lists (or tuples) of coefficients,
 lowest degree first, except in weighted_geometric_sum, which takes them
-highest first (Horner order); quotient polynomials g are monic of length
-m+1, and quotient-ring elements have m coefficients.
+highest first (Horner order).
 
-mulmod is the one product mod a monic polynomial: the root-sum sequences
-use it through modring.jump, and the quotient-ring reference (GaloisRing's
-products and powers) directly.  This is the one engine the package has,
-reported as "numpy" by rkksums.engine().
+Root sums are integer sequences.  For a monic f, the roots' images
+u = (a c + b)/(gamma c + delta) are the roots of image_poly; the power sums
+of a monic polynomial (power_sums) are the traces Tr(u^k), and past its
+degree they follow its linear recurrence (extend_recurrence), as does
+Tr(v u^k) for any fixed v.  jump gives t^N mod the polynomial, from which
+any single term of such a sequence is one dot product, and from_power_sums
+recovers a characteristic polynomial by Newton's identities.  mulmod is
+their one product mod a monic polynomial.  This is the one engine the
+package has, reported as "numpy" by rkksums.engine().
+
+The quotient-ring reference the tests hold these sequences to (modring's
+GaloisRing, polyfactor and _gfpoly) has arithmetic of its own: nothing here
+imports it, and it imports nothing from here.
 
 poly_mulmod and weighted_powers_poly have no caller in the package.  They
 stay only because the benchmark's layer list (perfbench/layers.py and
 BENCHMARK.json) times them by name, and a missing name reads "absent"
 there; they go when those layers are re-based on the sequences.
 """
+
+import math
+import operator
+
+from .errors import NonUnitDenominator
 
 
 def mulmod(a, b, chi, m):
@@ -35,15 +48,90 @@ def mulmod(a, b, chi, m):
     return [v % m for v in prod[:n]]
 
 
-def poly_powmod(a, n, g, mod):
-    out = [1 % mod] + [0] * (len(g) - 2)
-    base = list(a)
-    while n > 0:
-        if n & 1:
-            out = mulmod(out, base, g, mod)
-        base = mulmod(base, base, g, mod)
-        n >>= 1
-    return out
+def power_sums(poly, count, m):
+    """Power sums P_0..P_count of the roots of a monic polynomial, mod m.
+
+    poly lists coefficients lowest degree first.  Newton's identities need
+    no division, and past the degree they are the polynomial's own linear
+    recurrence P_k = -sum_i a_i P_(k-n+i).
+    """
+    n = len(poly) - 1
+    head = [n % m]
+    for k in range(1, min(n, count + 1)):
+        acc = k * poly[n - k] + sum(poly[n - i] * head[k - i] for i in range(1, k))
+        head.append(-acc % m)
+    return extend_recurrence(poly, head, count, m)
+
+
+def extend_recurrence(poly, head, count, m):
+    """t_0..t_count of t_k = -sum_i a_i t_(k-n+i), n = deg(poly), mod m.
+
+    head holds t_0..t_(n-1).  Every Tr(v u^k) obeys this recurrence when
+    poly is u's characteristic polynomial (Cayley-Hamilton).
+    """
+    n = len(poly) - 1
+    step = [-a % m for a in poly[:n]]
+    t = list(head)
+    for k in range(n, count + 1):
+        t.append(sum(map(operator.mul, step, t[k - n:k])) % m)
+    return t[:count + 1]
+
+
+def from_power_sums(sums, m):
+    """The monic polynomial of degree n whose roots have power sums sums[1..n], mod m.
+
+    Newton's identities k e_k = sum_i (-1)^(i-1) e_(k-i) P_i divide only by
+    1..n, which must be units mod m.  Coefficients lowest degree first.
+    """
+    n = len(sums) - 1
+    e = [1]
+    for k in range(1, n + 1):
+        acc = sum((-1) ** (i - 1) * e[k - i] * sums[i] for i in range(1, k + 1))
+        e.append(acc * pow(k, -1, m) % m)
+    return [(-1) ** (n - j) * e[n - j] % m for j in range(n + 1)]
+
+
+def image_poly(f, mobius, m):
+    """The monic polynomial whose roots are u = (a c + b)/(gamma c + delta) over the roots c of f.
+
+    f is monic, coefficients lowest degree first; mobius is (a, b, gamma,
+    delta).  The polynomial is sum_j f_j (delta u - b)^j (a - gamma u)^(n-j),
+    divided by its leading coefficient, the norm of gamma c + delta.  When
+    that is not a unit, u is undefined and NonUnitDenominator is raised.
+    Its power sums are the traces Tr(u^k) in Z/m[c]/(f).
+    """
+    a, b, gamma, delta = mobius
+
+    def times(poly, c0, c1):
+        """poly * (c0 + c1 u)."""
+        return [(c0 * hi + c1 * lo) % m for lo, hi in zip([0] + poly, poly + [0])]
+
+    n = len(f) - 1
+    acc, den = [f[n] % m], [1]
+    for j in range(n - 1, -1, -1):
+        den = times(den, a, -gamma)                    # (a - gamma u)^(n-j)
+        acc = [(s + f[j] * d) % m for s, d in zip(times(acc, -b, delta), den)]
+    if math.gcd(acc[n], m) != 1:
+        raise NonUnitDenominator(f"u = ({a} c + {b})/({gamma} c + {delta}) is undefined mod {m}")
+    inv = pow(acc[n], -1, m)
+    return tuple(v * inv % m for v in acc)
+
+
+def jump(chi, exponent, m):
+    """t^exponent mod the monic chi, by square-and-multiply on Python ints.
+
+    For any sequence t_k obeying chi's recurrence, such as Tr(v u^k) when
+    chi is u's characteristic polynomial, t_(exponent+j) is the dot product
+    of the result with t_j..t_(j+n-1), n = deg(chi).
+    """
+    n = len(chi) - 1
+    step = [-c % m for c in chi[:n]]
+    q = [1 % m] + [0] * (n - 1)
+    for bit in bin(exponent)[2:]:
+        q = mulmod(q, q, chi, m)
+        if bit == "1":  # times t: shift up, fold the top term back through chi
+            q = [(lo + q[-1] * s) % m for lo, s in zip([0] + q[:-1], step)]
+    return q
 
 
 def weighted_powers_scalar(t, w, mod):
@@ -64,56 +152,6 @@ def weighted_geometric_sum(coefs, x, lo, mod):
     for a in coefs:
         acc = (acc * x + a) % mod
     return acc * pow(x, lo, mod) % mod
-
-
-def _shift_reduce(col, g, mod):
-    """col * c reduced by the monic g, for col of deg(g) coefficients."""
-    top = col[-1]
-    col = [0] + col[:-1]
-    if top:
-        col = [(ci - top * gi) % mod for ci, gi in zip(col, g)]
-    return col
-
-
-def trace_mult(u, g, mod):
-    """Trace of the multiplication-by-u operator on the basis 1, c, ..., c^(m-1)."""
-    col = list(u)
-    tr = col[0] % mod
-    for j in range(1, len(g) - 1):
-        col = _shift_reduce(col, g, mod)
-        tr = (tr + col[j]) % mod
-    return tr
-
-
-def mult_matrix(u, g, mod):
-    """Matrix of multiplication by u, as a list of rows; column j holds u * c^j reduced by g."""
-    cols = [[ci % mod for ci in u]]
-    for _ in range(1, len(g) - 1):
-        cols.append(_shift_reduce(cols[-1], g, mod))
-    return [list(row) for row in zip(*cols)]
-
-
-def fl_charpoly(mat, inv_table, mod):
-    """Characteristic polynomial by the Faddeev-LeVerrier scheme.
-
-    mat is a list of rows.  inv_table[k-1] must hold the inverse of k mod
-    `mod` for k = 1..m; these are the only divisions performed, which keeps
-    the scheme valid when the modulus is a prime power.  Returns monic
-    coefficients, lowest first.
-    """
-    m = len(mat)
-    coeffs = [0] * m + [1 % mod]
-    acc = [[int(i == j) % mod for j in range(m)] for i in range(m)]
-    for k in range(1, m + 1):
-        an = [[sum(mat[i][l] * acc[l][j] for l in range(m)) % mod for j in range(m)]
-              for i in range(m)]
-        tr = sum(an[i][i] for i in range(m))
-        ck = -tr * inv_table[k - 1] % mod
-        coeffs[m - k] = ck
-        for i in range(m):
-            an[i][i] = (an[i][i] + ck) % mod
-        acc = an
-    return coeffs
 
 
 # --- named by the benchmark's layer list only --------------------------------

@@ -1,41 +1,34 @@
-"""Exact arithmetic in Z/p^e, integer sequences of root sums, and quotient rings.
+"""Exact arithmetic in Z/p^e, and the quotient-ring reference for the root sums.
 
 A residue mod p^e is a plain Python int in [0, p^e); ModulusCtx is the
 validated (p, e) it is taken in, and residue_from_rational reduces a
 p-integral rational into that range; evaluations and traces return such
 ints too.
 
-Root sums are computed as integer sequences.  For a monic f, the roots'
-images u = (a c + b)/(gamma c + delta) are the roots of image_poly; the
-power sums of a monic polynomial (power_sums) are the traces Tr(u^k), and
-past its degree they follow its linear recurrence (extend_recurrence), as
-does Tr(v u^k) for any fixed v.  jump gives t^N mod the polynomial, from
-which any single term of such a sequence is one dot product, and
-from_power_sums recovers a characteristic polynomial by Newton's
-identities.  All of it runs on Python ints, with products mod a
-polynomial taken by kernels.mulmod.
-
 The quotient rings Z/p^e[c]/(g) (GaloisRing), whose elements are tuples of
-Python ints, are the element-level reference the tests hold those
-sequences to.  They are built on a monic g that is squarefree mod p,
-such as the unfactored root polynomial.  Such a ring is the product of the
-Galois rings of g's lifted irreducible factors, so the trace of
+Python ints, are the element-level reference the tests hold the root-sum
+sequences of kernels to.  They are built on a monic g that is squarefree
+mod p, such as the unfactored root polynomial.  Such a ring is the product
+of the Galois rings of g's lifted irreducible factors, so the trace of
 multiplication by F(c) is the sum of F over all roots of g and its
 characteristic polynomial is the product of the per-factor ones.  An
 element is a unit exactly when it is coprime to g mod p.
+
+The reference has arithmetic of its own: products and powers are
+_gfpoly's, the trace and the characteristic polynomial come from the
+multiplication matrix (trace_mult, mult_matrix, fl_charpoly), and nothing
+here imports kernels, so a bug in the sequences' product cannot repeat
+itself in the values they are checked against.
 
 Contexts, polynomials, rings and ring elements are immutable after
 construction and all operations are pure, so they can be shared freely.
 """
 
-import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import _gfpoly, kernels
-from .errors import DenominatorNotUnit, ModulusTooLarge, NonUnitDenominator, NotAUnit
-from .kernels import mulmod
+from . import _gfpoly
+from .errors import DenominatorNotUnit, ModulusTooLarge, NotAUnit
 from .primes import is_prime
 
 # The largest modulus p^e the package accepts.  Python ints are exact at any
@@ -131,90 +124,54 @@ class MonicPoly:
         return MonicPoly(_gfpoly.mul(self.coeffs, other.coeffs, self.ctx.modulus), self.ctx)
 
 
-def power_sums(poly, count, m):
-    """Power sums P_0..P_count of the roots of a monic polynomial, mod m.
+def _shift_reduce(col, g, mod):
+    """col * c reduced by the monic g, for col of deg(g) coefficients."""
+    top = col[-1]
+    col = [0] + col[:-1]
+    if top:
+        col = [(ci - top * gi) % mod for ci, gi in zip(col, g)]
+    return col
 
-    poly lists coefficients lowest degree first.  Newton's identities need
-    no division, and past the degree they are the polynomial's own linear
-    recurrence P_k = -sum_i a_i P_(k-n+i).
+
+def trace_mult(u, g, mod):
+    """Trace of the multiplication-by-u operator on the basis 1, c, ..., c^(m-1)."""
+    col = list(u)
+    tr = col[0] % mod
+    for j in range(1, len(g) - 1):
+        col = _shift_reduce(col, g, mod)
+        tr = (tr + col[j]) % mod
+    return tr
+
+
+def mult_matrix(u, g, mod):
+    """Matrix of multiplication by u, as a list of rows; column j holds u * c^j reduced by g."""
+    cols = [[ci % mod for ci in u]]
+    for _ in range(1, len(g) - 1):
+        cols.append(_shift_reduce(cols[-1], g, mod))
+    return [list(row) for row in zip(*cols)]
+
+
+def fl_charpoly(mat, inv_table, mod):
+    """Characteristic polynomial by the Faddeev-LeVerrier scheme.
+
+    mat is a list of rows.  inv_table[k-1] must hold the inverse of k mod
+    `mod` for k = 1..m; these are the only divisions performed, which keeps
+    the scheme valid when the modulus is a prime power.  Returns monic
+    coefficients, lowest first.
     """
-    n = len(poly) - 1
-    head = [n % m]
-    for k in range(1, min(n, count + 1)):
-        acc = k * poly[n - k] + sum(poly[n - i] * head[k - i] for i in range(1, k))
-        head.append(-acc % m)
-    return extend_recurrence(poly, head, count, m)
-
-
-def extend_recurrence(poly, head, count, m):
-    """t_0..t_count of t_k = -sum_i a_i t_(k-n+i), n = deg(poly), mod m.
-
-    head holds t_0..t_(n-1).  Every Tr(v u^k) obeys this recurrence when
-    poly is u's characteristic polynomial (Cayley-Hamilton).
-    """
-    n = len(poly) - 1
-    step = [-a % m for a in poly[:n]]
-    t = list(head)
-    for k in range(n, count + 1):
-        t.append(sum(map(operator.mul, step, t[k - n:k])) % m)
-    return t[:count + 1]
-
-
-def from_power_sums(sums, m):
-    """The monic polynomial of degree n whose roots have power sums sums[1..n], mod m.
-
-    Newton's identities k e_k = sum_i (-1)^(i-1) e_(k-i) P_i divide only by
-    1..n, which must be units mod m.  Coefficients lowest degree first.
-    """
-    n = len(sums) - 1
-    e = [1]
-    for k in range(1, n + 1):
-        acc = sum((-1) ** (i - 1) * e[k - i] * sums[i] for i in range(1, k + 1))
-        e.append(acc * pow(k, -1, m) % m)
-    return [(-1) ** (n - j) * e[n - j] % m for j in range(n + 1)]
-
-
-def image_poly(f, mobius, m):
-    """The monic polynomial whose roots are u = (a c + b)/(gamma c + delta) over the roots c of f.
-
-    f is monic, coefficients lowest degree first; mobius is (a, b, gamma,
-    delta).  The polynomial is sum_j f_j (delta u - b)^j (a - gamma u)^(n-j),
-    divided by its leading coefficient, the norm of gamma c + delta.  When
-    that is not a unit, u is undefined and NonUnitDenominator is raised.
-    Its power sums are the traces Tr(u^k) in Z/m[c]/(f).
-    """
-    a, b, gamma, delta = mobius
-
-    def times(poly, c0, c1):
-        """poly * (c0 + c1 u)."""
-        return [(c0 * hi + c1 * lo) % m for lo, hi in zip([0] + poly, poly + [0])]
-
-    n = len(f) - 1
-    acc, den = [f[n] % m], [1]
-    for j in range(n - 1, -1, -1):
-        den = times(den, a, -gamma)                    # (a - gamma u)^(n-j)
-        acc = [(s + f[j] * d) % m for s, d in zip(times(acc, -b, delta), den)]
-    if math.gcd(acc[n], m) != 1:
-        raise NonUnitDenominator(f"u = ({a} c + {b})/({gamma} c + {delta}) is undefined mod {m}")
-    inv = pow(acc[n], -1, m)
-    return tuple(v * inv % m for v in acc)
-
-
-def jump(chi, exponent, m):
-    """t^exponent mod the monic chi, by square-and-multiply on Python ints.
-
-    For any sequence t_k obeying chi's recurrence, such as Tr(v u^k) when
-    chi is u's characteristic polynomial, t_(exponent+j) is the dot product
-    of the result with t_j..t_(j+n-1), n = deg(chi).
-    """
-    n = len(chi) - 1
-    step = [-c % m for c in chi[:n]]
-    q = [1 % m] + [0] * (n - 1)
-    for bit in bin(exponent)[2:]:
-        q = mulmod(q, q, chi, m)
-        if bit == "1":  # times t: shift up, fold the top term back through chi
-            q = [(lo + q[-1] * s) % m for lo, s in zip([0] + q[:-1], step)]
-    return q
+    m = len(mat)
+    coeffs = [0] * m + [1 % mod]
+    acc = [[int(i == j) % mod for j in range(m)] for i in range(m)]
+    for k in range(1, m + 1):
+        an = [[sum(mat[i][l] * acc[l][j] for l in range(m)) % mod for j in range(m)]
+              for i in range(m)]
+        tr = sum(an[i][i] for i in range(m))
+        ck = -tr * inv_table[k - 1] % mod
+        coeffs[m - k] = ck
+        for i in range(m):
+            an[i][i] = (an[i][i] + ck) % mod
+        acc = an
+    return coeffs
 
 
 class GaloisRing:
@@ -253,17 +210,15 @@ class GaloisRing:
             return self.elt([-self.modpoly.coeffs[0]])
         return self.elt([0, 1])
 
+    # _gfpoly's product and power are exact mod p^e here: g is monic, so
+    # the one inverse its division takes is that of 1
     def mul(self, a, b):
-        return GaloisElt(
-            self, mulmod(a.coeffs, b.coeffs, self._g, self.ctx.modulus)
-        )
+        return self.elt(_gfpoly.mulmod(a.coeffs, b.coeffs, self._g, self.ctx.modulus))
 
     def pow(self, a, n):
         if n < 0:
             return self.pow(self.inv(a), -n)
-        return GaloisElt(
-            self, kernels.poly_powmod(a.coeffs, n, self._g, self.ctx.modulus)
-        )
+        return self.elt(_gfpoly.powmod(a.coeffs, n, self._g, self.ctx.modulus))
 
     def inv(self, a):
         """Inverse via extended Euclid mod p, then Newton lifting to p^e."""
@@ -282,7 +237,7 @@ class GaloisRing:
 
     def trace(self, a):
         """Trace of multiplication by a: the sum of a over the roots of g."""
-        return kernels.trace_mult(a.coeffs, self._g, self.ctx.modulus)
+        return trace_mult(a.coeffs, self._g, self.ctx.modulus)
 
     def charpoly(self, a):
         """Characteristic polynomial of multiplication by a.
@@ -293,9 +248,9 @@ class GaloisRing:
         image_poly, which it is the reference for.
         """
         m = self.ctx.modulus
-        mat = kernels.mult_matrix(a.coeffs, self._g, m)
+        mat = mult_matrix(a.coeffs, self._g, m)
         inverses = [pow(k, -1, m) for k in range(1, self.degree + 1)]
-        return MonicPoly(tuple(kernels.fl_charpoly(mat, inverses, m)), self.ctx)
+        return MonicPoly(tuple(fl_charpoly(mat, inverses, m)), self.ctx)
 
     def __repr__(self):
         return f"GaloisRing(deg={self.degree}, mod {self.ctx.p}^{self.ctx.e})"

@@ -258,7 +258,7 @@ def double_root_cofactor(r, p, e):
     if rem2 != 0:
         raise DegenerateDivisionFailure(f"second division remainder {rem2} != 0")
     cofactor = MonicPoly(tuple(quot2), ctx)
-    if _gfpoly.evaluate([ci % p for ci in cofactor.coeffs], root % p, p) == 0:
+    if _synthetic_div(quot2, root, m)[1] % p == 0:
         raise DegenerateDivisionFailure("double root persists in the cofactor")
     return root, cofactor
 

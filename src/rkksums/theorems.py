@@ -8,11 +8,12 @@ equality of residues.
 
 The symmetric functions (RootSums) are integer sequences mod p^e.  Each
 quantity is a Newton power sum of the polynomial whose roots are a Moebius
-image of c (1-c, 1/c, 1-1/c, 1/(1-c), c/(c-1), 1/(r-1+c); modring.image_poly),
+image of c (1-c, 1/c, 1-1/c, 1/(1-c), c/(c-1), 1/(r-1+c); kernels.image_poly),
 or a scalar sequence obeying such a polynomial's recurrence, whose p-th term
-comes from one jump t^p mod that polynomial (modring.jump).  No ring element
-is built on this path; GaloisRing and the factoring in polyfactor are the
-reference the tests compare with.
+comes from one jump t^p mod that polynomial (kernels.jump).  No ring element
+is built on this path; GaloisRing and the factoring in polyfactor, which
+run on _gfpoly's arithmetic and not on kernels, are the reference the tests
+compare with.
 
 FAMILIES has one row per CLI tag: the grid it walks, its precision, its
 scope, its skip-row ids and the function computing its rows.  _skip_rows
@@ -37,18 +38,8 @@ from . import finlog, seriesid
 from .binomsums import full_range, lhs_sum, range_A_star, short_range
 from .errors import DenominatorNotUnit
 from .finlog import constants_table, pounds, pounds_from_traces
-from .kernels import mulmod
-from .modring import (
-    GaloisRing,
-    ModulusCtx,
-    as_rational,
-    extend_recurrence,
-    from_power_sums,
-    image_poly,
-    jump,
-    power_sums,
-    residue_from_rational,
-)
+from .kernels import extend_recurrence, from_power_sums, image_poly, jump, mulmod, power_sums
+from .modring import GaloisRing, ModulusCtx, as_rational, residue_from_rational
 from .polyfactor import (
     Degeneracy,
     build_root_poly,

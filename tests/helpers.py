@@ -8,7 +8,9 @@ the polylog of a quotient-ring element: a term-by-term sum in GaloisRing
 arithmetic, the element-level reference for the polylog traces.
 """
 
+import inspect
 import math
+import sys
 from fractions import Fraction
 
 
@@ -174,3 +176,24 @@ def splits_by_frobenius(r, a, p):
         base = _poly_mulmod(base, base, f, p)
         n >>= 1
     return acc == c
+
+
+def forbid_every_function(monkeypatch, module):
+    """Make every function defined in module raise, through monkeypatch.
+
+    The copies that package modules bind by ``from module import name`` are
+    patched too, so no caller reaches the real function by any name.
+    """
+    def raising(name):
+        def forbidden(*args, **kwargs):
+            raise AssertionError(f"{module.__name__}.{name} called")
+        return forbidden
+
+    names = {id(fn): name for name, fn in vars(module).items()
+             if inspect.isfunction(fn) and fn.__module__ == module.__name__}
+    for mod_name, holder in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "rkksums":
+            for attr, value in list(vars(holder).items()):
+                if id(value) in names:
+                    monkeypatch.setattr(holder, attr, raising(names[id(value)]))
+    return sorted(names.values())

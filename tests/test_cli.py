@@ -1,10 +1,12 @@
 """CLI harness tests: config handling, report formats, determinism, exit codes."""
 
+import collections
 import csv
 import functools
 import io
 import json
 import pathlib
+import random
 import time
 
 import jsonschema
@@ -439,3 +441,42 @@ def test_a_perturbed_id2b_side_fails_the_ladder(monkeypatch, capsys):
     for r in (2, 3):
         assert rows[("identity_ladder", r)] == "fail"
         assert rows[("identity_id0", r)] == rows[("identity_id1b", r)] == "pass"
+
+
+# negative controls for the brute-force left-hand sides: every entry of the
+# binomial table moved by its own seeded random unit delta_k.  Shifting every
+# entry by 1 (or by k) is blind: sum_{0<k<p} t^k = 0 mod p for t != 0, 1, so
+# such a table often leaves the sum unchanged.  A random shift leaves it
+# unchanged only by chance, about once in p rows.
+
+NO_LHS_IDS = {"rkksuk_z_const", "rkksukk_cert", "rkksukmod2_cert", "rkkmod2_cross"}
+LHS_TAGS = [tag for tag in cli.FAMILIES
+            if tag not in ("lemma_technical", "mystery", "fe", "series", "identities")]
+
+
+@pytest.mark.parametrize("tag", LHS_TAGS)
+def test_a_randomly_shifted_binomial_table_fails_every_lhs_row(tag, monkeypatch, capsys):
+    from rkksums import binomsums
+
+    original = binomsums.binom_table
+
+    def shifted(r, p, e):
+        rng = random.Random(f"{r}|{p}|{e}")
+        return tuple((b + rng.randrange(1, p)) % p ** e for b in original(r, p, e))
+
+    monkeypatch.setattr(binomsums, "binom_table", shifted)
+    # a fresh cache, so no coefficients built from the true table are read
+    monkeypatch.setattr(binomsums, "lhs_coefficients",
+                        functools.lru_cache(maxsize=64)(binomsums.lhs_coefficients.__wrapped__))
+    code = cli.main(["--theorems", tag, "--r", "2,3,4", "--primes", "101..199",
+                     "--x-random", "2"])
+    verdicts = collections.defaultdict(collections.Counter)
+    for row in json.loads(capsys.readouterr().out):
+        verdicts[row["theoremId"]][row["verdict"]] += 1
+    assert code == 1
+    assert any(theorem_id not in NO_LHS_IDS for theorem_id in verdicts)
+    for theorem_id, counts in verdicts.items():
+        if theorem_id in NO_LHS_IDS:
+            assert set(counts) == {"pass"}, (theorem_id, counts)
+        else:
+            assert counts["fail"] >= 0.95 * (counts["fail"] + counts["pass"]), (theorem_id, counts)

@@ -3,7 +3,9 @@
 The left-hand side is a brute-force binomial sum (binomsums); the right-hand
 side is built from root sums and finite polylogarithms.  A bug in a table
 both sides read could cancel out and read as a pass, so neither side may
-read the other's tables.
+read the other's tables.  In the same way the root sums' arithmetic
+(kernels) and the quotient-ring reference the tests hold them to (modring,
+_gfpoly, polyfactor) import nothing from each other.
 """
 
 import ast
@@ -40,6 +42,16 @@ def test_binomsums_and_the_rhs_modules_never_import_each_other():
     assert "finlog" not in _imported_modules("binomsums")
     for name in RHS_MODULES:
         assert "binomsums" not in _imported_modules(name), name
+
+
+REFERENCE_MODULES = ("modring", "_gfpoly", "polyfactor")
+
+
+def test_the_reference_and_the_root_sum_arithmetic_never_import_each_other():
+    # the quotient-ring reference runs on _gfpoly, the root sums on kernels
+    for name in REFERENCE_MODULES:
+        assert "kernels" not in _imported_modules(name), name
+    assert not _imported_modules("kernels") & set(REFERENCE_MODULES)
 
 
 @pytest.mark.parametrize("e", [1, 2, 3])

@@ -1,8 +1,15 @@
-"""Differential tests: kernels against naive references."""
+"""Differential tests: kernels against naive references and against _gfpoly.
+
+kernels is the right-hand side's arithmetic and _gfpoly the reference's;
+each is checked against the other here.  The quotient-ring kernels of the
+reference (modring's trace_mult, mult_matrix and fl_charpoly) are checked
+against matrix definitions.
+"""
 
 import random
 
-from rkksums import kernels
+from rkksums import _gfpoly, kernels
+from rkksums.modring import fl_charpoly, mult_matrix, trace_mult
 
 
 def ref_poly_mulmod(a, b, g, mod):
@@ -35,18 +42,27 @@ def test_poly_mulmod_against_reference():
         assert list(got) == ref_poly_mulmod(a, b, g, mod)
 
 
+def _padded(a, n):
+    return list(a) + [0] * (n - len(a))
+
+
 def test_poly_powmod_is_iterated_mul():
+    # the two arithmetics against each other: _gfpoly.powmod is iterated
+    # kernels.mulmod, and kernels.jump is _gfpoly.powmod of t
     rng = random.Random(3)
-    for _ in range(30):
-        mod = 11 ** 2
-        m = rng.randrange(1, 5)
-        g = random_monic(rng, m, mod)
-        a = [rng.randrange(mod) for _ in range(m)]
-        n = rng.randrange(1, 30)
-        acc = [1] + [0] * (m - 1)
-        for _ in range(n):
-            acc = kernels.mulmod(acc, a, g, mod)
-        assert list(kernels.poly_powmod(a, n, g, mod)) == list(acc)
+    for p in (7, 11, 13):
+        for mod in (p, p ** 2, p ** 3):
+            for m in [1, 2, 3, 4, 5, 6] * 3:
+                g = random_monic(rng, m, mod)
+                a = [rng.randrange(mod) for _ in range(m)]
+                n = rng.randrange(0, 30)
+                acc = [1] + [0] * (m - 1)
+                for _ in range(n):
+                    acc = kernels.mulmod(acc, a, g, mod)
+                assert _padded(_gfpoly.powmod(a, n, g, mod), m) == acc, (g, a, n, mod)
+                big = rng.randrange(0, 3 * mod)
+                t_power = _padded(_gfpoly.powmod([0, 1], big, g, mod), m)
+                assert kernels.jump(g, big, mod) == t_power, (g, big, mod)
 
 
 def test_kernels_kept_for_the_benchmark_agree_with_the_reference():
@@ -96,17 +112,8 @@ def test_trace_is_matrix_diagonal():
         m = rng.randrange(1, 6)
         g = random_monic(rng, m, mod)
         u = [rng.randrange(mod) for _ in range(m)]
-        mat = kernels.mult_matrix(u, g, mod)
-        assert kernels.trace_mult(u, g, mod) == sum(mat[i][i] for i in range(m)) % mod
-
-
-def _c_power(j, m, g, mod):
-    c = [0] * m
-    if m == 1:
-        c[0] = (-g[0]) % mod
-    else:
-        c[1] = 1
-    return kernels.poly_powmod(c, j, g, mod)
+        mat = mult_matrix(u, g, mod)
+        assert trace_mult(u, g, mod) == sum(mat[i][i] for i in range(m)) % mod
 
 
 def test_mult_matrix_columns():
@@ -116,9 +123,10 @@ def test_mult_matrix_columns():
     m = 4
     g = random_monic(rng, m, mod)
     u = [rng.randrange(mod) for _ in range(m)]
-    mat = kernels.mult_matrix(u, g, mod)
+    mat = mult_matrix(u, g, mod)
     for j in range(m):
-        expected = kernels.mulmod(u, _c_power(j, m, g, mod), g, mod)
+        c_power = _padded(_gfpoly.powmod([0, 1], j, g, mod), m)
+        expected = kernels.mulmod(u, c_power, g, mod)
         assert [row[j] for row in mat] == list(expected)
 
 
@@ -158,5 +166,5 @@ def test_fl_charpoly_against_cofactor_expansion():
         coeffs = [c % mod for c in exact] + [0] * (m + 1 - len(exact))
 
         inv_table = [pow(k, -1, mod) for k in range(1, m + 1)]
-        got = kernels.fl_charpoly(mat, inv_table, mod)
+        got = fl_charpoly(mat, inv_table, mod)
         assert list(got) == coeffs[: m + 1]

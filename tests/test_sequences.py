@@ -1,8 +1,9 @@
 """Root sums as integer sequences: the helpers against the ring, and the ring off the verdict path.
 
 RootSums takes every quantity from power sums of Moebius-image polynomials
-(modring.image_poly) and from jumps t^N mod chi (modring.jump).  These
-tests hold the helpers to the element-level GaloisRing, on random monic
+(kernels.image_poly) and from jumps t^N mod chi (kernels.jump).  These
+tests hold the helpers to the element-level GaloisRing, whose arithmetic is
+_gfpoly's and not kernels', on random monic
 moduli that need not be squarefree, and check that a sweep never builds a
 ring element, nor one image's power sums below p twice, and that every
 root sum a checker reads reduces from p^3 to the value computed at p or p^2.
@@ -17,16 +18,8 @@ from hypothesis import strategies as st
 
 from rkksums import cli, theorems
 from rkksums.errors import NonUnitDenominator, NotAUnit
-from rkksums.modring import (
-    GaloisRing,
-    ModulusCtx,
-    MonicPoly,
-    extend_recurrence,
-    from_power_sums,
-    image_poly,
-    jump,
-    power_sums,
-)
+from rkksums.kernels import extend_recurrence, from_power_sums, image_poly, jump, power_sums
+from rkksums.modring import GaloisRing, ModulusCtx, MonicPoly
 from rkksums.polyfactor import Degeneracy, classify_x
 from rkksums.primes import odd_primes_in
 

@@ -4,7 +4,9 @@ Root sums are computed in one ring built on the whole root polynomial, and
 polylog traces come from a linear recurrence.  These tests hold both to the
 element-level route they replaced: factoring mod p, Hensel lifting, one
 Galois ring per factor, and the polylog formed as a ring element
-(helpers.ring_pounds).
+(helpers.ring_pounds).  The reference runs on _gfpoly and the root sums on
+kernels; two tests run each side with every function of the other's
+arithmetic made to raise.
 """
 
 import functools
@@ -15,15 +17,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ring_pounds
+from helpers import forbid_every_function, ring_pounds
+from rkksums import _gfpoly, cli, kernels
 from rkksums import theorems as T
 from rkksums.errors import NonUnitDenominator, NotAUnit
-from rkksums import kernels, modring
-from rkksums.modring import GaloisRing, ModulusCtx, MonicPoly, image_poly
+from rkksums.kernels import image_poly
+from rkksums.modring import GaloisRing, ModulusCtx, MonicPoly, fl_charpoly, mult_matrix
 from rkksums.polyfactor import (
     Degeneracy,
+    build_root_poly,
     classify_residue,
     double_root_cofactor,
+    factor_mod_p,
+    hensel_lift,
     root_factor_set,
     split_double_root,
 )
@@ -55,26 +61,53 @@ def test_charpoly_matches_faddeev_leverrier(elements):
     # polynomial of c -> b c + a0, which the root sums read
     ring, u = elements
     m, g = ring.ctx.modulus, ring.modpoly.coeffs
-    mat = kernels.mult_matrix(u.coeffs, g, m)
+    mat = mult_matrix(u.coeffs, g, m)
     inverses = [pow(k, -1, m) for k in range(1, ring.degree + 1)]
-    expected = tuple(kernels.fl_charpoly(mat, inverses, m))
+    expected = tuple(fl_charpoly(mat, inverses, m))
     assert ring.charpoly(u).coeffs == expected
     if not any(u.coeffs[2:]):
         a0, b = u.coeffs[0], u.coeffs[1] if ring.degree > 1 else 0
         assert image_poly(g, (b, a0, 0, 1), m) == expected
 
 
-def test_charpoly_never_calls_image_poly(monkeypatch):
-    # the reference stays independent of the image polynomials it checks
-    def broken(*args):
-        raise AssertionError("image_poly called")
+def reference_values():
+    """Products, powers, inverse, trace and charpoly in one ring, and the factoring."""
+    ring = GaloisRing(MonicPoly((3, 1, 4, 1), ModulusCtx(11, 2)))
+    u = ring.elt([2, 3])
+    f = build_root_poly(3, Fraction(2), ModulusCtx(7, 3))   # linear times quadratic mod 7
+    return (ring.mul(u, u + 1), ring.pow(u, 5), ring.pow(u, -3), ring.inv(u),
+            ring.trace(u), ring.charpoly(u), root_factor_set(3, Fraction(2), f.ctx),
+            hensel_lift(factor_mod_p(f.reduce(1)), f, 3), split_double_root(4, 13, 2))
 
-    monkeypatch.setattr(modring, "image_poly", broken)
+
+def test_charpoly_never_calls_image_poly(monkeypatch):
+    # the reference has arithmetic of its own: with every function of
+    # kernels raising (image_poly, mulmod and jump among them), the ring
+    # and the factoring give the same values as before
+    expected = reference_values()
+    forbidden = forbid_every_function(monkeypatch, kernels)
+    assert reference_values() == expected
+    assert {"image_poly", "jump", "mulmod"} <= set(forbidden)
     ring, m = GaloisRing(MonicPoly((3, 1, 4, 1), ModulusCtx(11, 2))), 121
     u = ring.elt([2, 3])
-    mat = kernels.mult_matrix(u.coeffs, ring.modpoly.coeffs, m)
+    mat = mult_matrix(u.coeffs, ring.modpoly.coeffs, m)
     inverses = [pow(k, -1, m) for k in range(1, 4)]
-    assert ring.charpoly(u).coeffs == tuple(kernels.fl_charpoly(mat, inverses, m))
+    assert ring.charpoly(u).coeffs == tuple(fl_charpoly(mat, inverses, m))
+
+
+def test_the_verdict_path_never_calls_gfpoly(monkeypatch):
+    # the mirror: with every function of the reference's arithmetic raising,
+    # a sweep of every per-point tag and the double-root tag still passes
+    forbidden = forbid_every_function(monkeypatch, _gfpoly)
+    T.root_sums.cache_clear()
+    tags = [tag for tag, fam in T.FAMILIES.items() if fam.grid == T.RPX]
+    config = cli.RunConfig(r_values=[1, 2, 3, 4], primes=[5, 7, 11, 13],
+                           x_values=[Fraction(2), Fraction(-1, 3)], x_random=2,
+                           theorems=tags + ["rkkmod2_multiple"])
+    summary, reports = cli.run(config)
+    assert {rep.theorem for rep in reports} >= {"rkk_short", "rkksuk_z", "rkkmod2_multiple"}
+    assert summary.failed == 0 and summary.passed > 300
+    assert {"mulmod", "powmod", "invert_mod"} <= set(forbidden)
 
 
 AGGREGATES = {
