@@ -58,18 +58,16 @@ def batch_inverse(values, m):
     return out
 
 
-@functools.lru_cache(maxsize=None)
+# cli.build_tasks walks the grid prime by prime and never comes back to a
+# prime it has left, so a per-prime cache holds one prime's keys: e <= 3.
+@functools.lru_cache(maxsize=3)
 def inverse_table(p, e):
     """k^-1 mod p^e for 0 <= k < p, with 0 at k = 0 (0 ** 0 == 1 keeps d = 0)."""
     return (0, *batch_inverse(range(1, p), p ** e))
 
 
-# cli.build_tasks walks the primes once for the per-prime tags, which read at
-# most five tables per p, then r outside p for the per-(r, p) tags, which
-# read one or two per (r, p).  Neither walk comes back to a finished point,
-# so eight entries keep every repeat read within a walk, and p-length tables
-# are not held for the rest of the run.  A table both walks read (numerics
-# and cor_split in one run) is built twice.
+# One prime's tables, for the same reason: its per-prime tags read at most
+# five, and each r one or two, all of them before the walk leaves the prime.
 @functools.lru_cache(maxsize=8)
 def binom_table(r, p, e):
     """binom(rk,k) mod p^e for 0 <= k < p, from the p-adic factorials n!.

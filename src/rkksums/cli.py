@@ -17,14 +17,13 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 
 from . import engine, seriesid, theorems
 from .errors import ConfigError, ModulusTooLarge, RkksumsError
 from .modring import ModulusCtx, as_rational
 from .polyfactor import Degeneracy, classify_residue
 from .primes import odd_primes_in
-from .report import CongruenceReport, RunSummary, emit_report, skipped
+from .report import RunSummary, emit_report, skipped
 from .theorems import EXACT, FAMILIES, P, PX, RP, RPX
 
 
@@ -100,29 +99,21 @@ class TaskError(Exception):
     """A task raised something other than an RkksumsError: a bug, not a verdict."""
 
 
-def _at(where, fn, *args):
-    """fn(*args), with an unexpected exception wrapped as a TaskError naming where."""
-    try:
-        return fn(*args)
-    except RkksumsError:
-        raise
-    except Exception as exc:
-        at = ", ".join(f"{key}={value}" for key, value in where.items())
-        raise TaskError(f"{at}: {type(exc).__name__}: {exc}") from exc
-
-
-def _task(fn, *args, **where):
-    """A task running fn(*args); where (tag, r, p, x) names it if it breaks."""
-    return partial(_at, where, fn, *args)
+def _outside_scope(tags, r, p):
+    """A prime p <= r lies outside every per-(r, p) scope: one skip row per tag."""
+    return [skipped(tag, r, p, FAMILIES[tag].e, None, "RequiresPGreaterThanR") for tag in tags]
 
 
 def build_tasks(config):
-    """The flat list of independent callables the run executes.
+    """The tasks the run executes, each (where, fn, args): fn(*args) returns a
+    list of rows, and where (tag, r, p, x) names the task if it breaks.
 
-    The (r, p, x) grid is walked once: at each point one task runs every
+    The grid is walked once, prime by prime: at each p the per-prime tags,
+    then for each r the per-(r, p) tags and one task per x running every
     selected per-(r, p, x) tag (theorems.point_rows), so the tags share the
-    point's guard and its root sums.
-    Task order never reaches the report, because run sorts its rows.
+    point's guard and its root sums.  The walk never comes back to a prime
+    it has left, so each per-prime cache holds one prime.  Task order never
+    reaches the report, because run sorts its rows.
     """
     selected = []
     for tag in config.theorems:
@@ -134,46 +125,41 @@ def build_tasks(config):
     def on(*grids):
         return [(tag, fam.rows) for tag, fam in selected if fam.grid in grids]
 
-    tasks = [_task(rows, r, config, tag=tag, r=r)
+    scoped = [tag for tag, _ in on(RP, RPX)]
+    tasks = [({"tag": tag, "r": r}, rows, (r, config))
              for tag, rows in on(EXACT) for r in config.r_values]
     for p in config.primes:
-        tasks += [_task(rows, p, config, tag=tag, p=p) for tag, rows in on(P)]
+        tasks += [({"tag": tag, "p": p}, rows, (p, config)) for tag, rows in on(P)]
         # a per-(p, x) family fixes r = 2, so its x are drawn for r = 2
-        tasks += [_task(rows, p, x, tag=tag, r=2, p=p, x=x) for tag, rows in on(PX)
+        tasks += [({"tag": tag, "r": 2, "p": p, "x": x}, rows, (p, x)) for tag, rows in on(PX)
                   for x in draw_x_values(config, tag, 2, p)]
-    for r in config.r_values:
-        for p in config.primes:
+        for r in config.r_values:
             if p <= r:
-                # a prime p <= r lies outside every per-(r, p) scope
-                tasks += [partial(skipped, tag, r, p, FAMILIES[tag].e, None,
-                                  "RequiresPGreaterThanR") for tag, _ in on(RP, RPX)]
+                tasks.append(({"tag": ",".join(scoped), "r": r, "p": p},
+                              _outside_scope, (scoped, r, p)))
                 continue
-            tasks += [_task(rows, r, p, tag=tag, r=r, p=p) for tag, rows in on(RP)]
+            tasks += [({"tag": tag, "r": r, "p": p}, rows, (r, p)) for tag, rows in on(RP)]
             at_x = {}  # x -> the tags that drew it, once per draw
             for tag, _ in on(RPX):
                 for x in draw_x_values(config, tag, r, p):
                     at_x.setdefault(x, []).append(tag)
-            tasks += [_task(theorems.point_rows, tags, r, p, x,
-                            tag=",".join(dict.fromkeys(tags)), r=r, p=p, x=x)
-                      for x, tags in at_x.items()]
+            tasks += [({"tag": ",".join(dict.fromkeys(tags)), "r": r, "p": p, "x": x},
+                       theorems.point_rows, (tags, r, p, x)) for x, tags in at_x.items()]
     return tasks
 
 
 def run(config):
     """Execute all selected checks serially; returns (summary, sorted reports)."""
     start = time.perf_counter()
-    tasks = build_tasks(config)
     reports = []
-
-    def consume(result):
-        if isinstance(result, CongruenceReport):
-            reports.append(result)
-        else:
-            for item in result:
-                consume(item)
-
-    for task in tasks:
-        consume(task())
+    for where, fn, args in build_tasks(config):
+        try:
+            reports += fn(*args)
+        except RkksumsError:
+            raise
+        except Exception as exc:
+            at = ", ".join(f"{key}={value}" for key, value in where.items())
+            raise TaskError(f"{at}: {type(exc).__name__}: {exc}") from exc
 
     reports.sort(key=lambda rep: rep.sort_key())
     summary = RunSummary()

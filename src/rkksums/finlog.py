@@ -37,7 +37,8 @@ from .report import checked
 ORDERS = (0, 1, 2)
 
 
-@functools.lru_cache(maxsize=None)
+# one prime's weights (e <= 3, s in ORDERS): the sweep walks prime by prime
+@functools.lru_cache(maxsize=9)
 def _weights(p, e, s):
     """k^-s mod p^e for k = 1..p-1, the inner-loop coefficient table."""
     m = p ** e
@@ -136,7 +137,6 @@ def _inverse_square_sum(n, p):
     return sum(pow(k, -2, p) for k in range(1, n + 1)) % p
 
 
-@functools.lru_cache(maxsize=None)
 def constants_table(p):
     if p <= 3:
         raise ValueError("need p > 3")

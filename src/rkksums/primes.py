@@ -1,6 +1,6 @@
 """Deterministic primality testing and prime enumeration for sweep ranges."""
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the trial divisors and the Miller-Rabin bases
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -18,7 +18,7 @@ def is_prime(n):
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in _SMALL_PRIMES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

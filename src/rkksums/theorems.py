@@ -537,11 +537,11 @@ def check_central_pol(x, p):
     """Central binomial sum against the closed form (1-4x)^((p-1)/2) mod p."""
     x = as_rational(x)
     if x.denominator % p == 0:
-        return skipped("central_pol", 2, p, 1, x, "DenominatorNotUnit")
+        return [skipped("central_pol", 2, p, 1, x, "DenominatorNotUnit")]
     pt = Point(2, x, p, 1)
     xv = residue_from_rational(x, _ctx(p, 1))
     rhs = pow((1 - 4 * xv) % p, (p - 1) // 2, p)
-    return pt.report("central_pol", 1, pt.lhs(0, short_range(2, p, include_zero=True), 1), rhs)
+    return [pt.report("central_pol", 1, pt.lhs(0, short_range(2, p, include_zero=True), 1), rhs)]
 
 
 def split_residues(r, p):

@@ -480,3 +480,78 @@ def test_a_randomly_shifted_binomial_table_fails_every_lhs_row(tag, monkeypatch,
             assert set(counts) == {"pass"}, (theorem_id, counts)
         else:
             assert counts["fail"] >= 0.95 * (counts["fail"] + counts["pass"]), (theorem_id, counts)
+
+
+# negative controls for the right-hand sides: every compared row checked
+# against rhs + 1 must fail, so no sampled family can pass whatever it computes
+
+RHS_TAGS = [tag for tag, fam in cli.FAMILIES.items() if fam.grid != cli.EXACT]
+
+
+def row_verdicts(argv, capsys):
+    code = cli.main(argv)
+    rows = json.loads(capsys.readouterr().out)
+    return code, {(row["theoremId"], row["r"], row["p"], row["e"], row["x_num"], row["x_den"],
+                   row["m"]): row["verdict"] for row in rows}
+
+
+@pytest.mark.parametrize("tag", RHS_TAGS)
+def test_a_right_hand_side_plus_one_fails_every_row(tag, monkeypatch, capsys):
+    from rkksums import finlog, report, theorems
+
+    argv = ["--theorems", tag, "--r", "2,3,4", "--primes", "11..60", "--x-random", "2"]
+    code, plain = row_verdicts(argv, capsys)
+    passed = [key for key, verdict in plain.items() if verdict == "pass"]
+    assert code == 0 and passed
+
+    def off_by_one(theorem, r, p, e, x, lhs, rhs, m=None):
+        return report.checked(theorem, r, p, e, x, lhs, rhs + 1, m)
+
+    monkeypatch.setattr(theorems, "checked", off_by_one)
+    monkeypatch.setattr(finlog, "checked", off_by_one)
+    code, shifted = row_verdicts(argv, capsys)
+    assert code == 1
+    assert "pass" not in shifted.values()
+    # rkksukk and rkksukmod2 skip their congruence where their certificate fails
+    behind_failed_cert = {(theorem_id.removesuffix("_cert"), r, p, x_num, x_den)
+                          for (theorem_id, r, p, _, x_num, x_den, _), verdict in shifted.items()
+                          if theorem_id.endswith("_cert") and verdict == "fail"}
+    for key in passed:
+        theorem_id, r, p, _, x_num, x_den, _ = key
+        if shifted[key] == "skip":
+            assert (theorem_id, r, p, x_num, x_den) in behind_failed_cert, key
+        else:
+            assert shifted[key] == "fail", key
+
+
+# the walk goes prime by prime and never comes back to a prime it has left,
+# which is what lets every per-prime cache hold one prime
+
+def test_the_walk_reads_each_prime_once(monkeypatch):
+    from rkksums import binomsums, finlog, theorems
+
+    asked = {}  # name -> (the cache, the keys asked of it in order)
+    for owner, name in ((binomsums, "binom_table"), (binomsums, "inverse_table"),
+                        (finlog, "_weights")):
+        cache, keys = getattr(owner, name), []
+        cache.cache_clear()
+        asked[name] = cache, keys
+
+        def recording(*key, cache=cache, keys=keys):
+            keys.append(key)
+            return cache(*key)
+
+        monkeypatch.setattr(owner, name, recording)
+    # tables read through these caches would not be asked for again
+    binomsums.lhs_coefficients.cache_clear()
+    theorems.root_sums.cache_clear()
+    summary, _ = run_cli([
+        "--theorems", "numerics,fe,r3_beta,central_pol,cor_split,rkkmod2_multiple,"
+        "rkksuk,rkksukk,rkksukmod2,mystery",
+        "--r", "1,2,3,4,5", "--primes", "5..37", "--x-random", "2",
+    ])
+    assert summary.total and not summary.failed
+    for name, (cache, keys) in asked.items():
+        primes = [key[1] if name == "binom_table" else key[0] for key in keys]
+        assert primes and primes == sorted(primes), name
+        assert cache.cache_info().misses == len(set(keys)), name

@@ -19,7 +19,7 @@ def all_pass(reports):
 
 def test_central_pol():
     all_pass(T.check_central_pol(Fraction(0), 11))
-    rep = T.check_central_pol(Fraction(1, 4), 7)
+    [rep] = T.check_central_pol(Fraction(1, 4), 7)
     assert rep.verdict == "pass" and rep.lhs == 0  # (1-4x) = 0 branch
     rng = random.Random(0)
     for p in odd_primes_in(3, 300):
