@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import engine, seriesid, theorems
 from .errors import ConfigError, ModulusTooLarge, RkksumsError
-from .modring import ModulusCtx, as_rational
+from .modring import as_rational, ctx_for
 from .polyfactor import Degeneracy, classify_residue
 from .primes import odd_primes_in
 from .report import RunSummary, emit_report, skipped
@@ -90,7 +90,7 @@ def refuse_large_moduli(selected, primes):
             if fam.grid == EXACT:
                 continue
             try:
-                ModulusCtx(p, fam.max_e)
+                ctx_for(p, fam.max_e)
             except ModulusTooLarge as exc:
                 raise ModulusTooLarge(f"{tag} at p = {p}: {exc}") from exc
 

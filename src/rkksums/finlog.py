@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from . import kernels
 from .errors import DivisibilityFailure
-from .modring import ModulusCtx, residue_from_rational
+from .modring import ctx_for, residue_from_rational
 from .report import checked
 
 ORDERS = (0, 1, 2)
@@ -67,7 +67,7 @@ def fermat_quotient(x, p, out_precision=1):
     """(x^(p-1) - 1)/p as a residue mod p^out_precision."""
     if out_precision + 1 > 3:
         raise ValueError("out_precision must be at most 2")
-    ctx = ModulusCtx(p, out_precision + 1)
+    ctx = ctx_for(p, out_precision + 1)
     t = pow(residue_from_rational(x, ctx), p - 1, ctx.modulus)
     if (t - 1) % p != 0:
         raise DivisibilityFailure(f"{x}^{p-1} != 1 mod {p}")
@@ -98,7 +98,7 @@ def lucas_quotient(p):
     """q_L = (L_p - 1)/p mod p; the division is exact since L_p = 1 mod p."""
     if p == 5 or p % 2 == 0:
         raise ValueError("Lucas quotient needs an odd prime p != 5")
-    m = ModulusCtx(p, 1).modulus
+    m = ctx_for(p, 1).modulus
     lp = lucas_number_mod(p, m * m)
     if (lp - 1) % p != 0:
         raise DivisibilityFailure(f"L_{p} != 1 mod {p}")
@@ -172,11 +172,11 @@ def check_functional_equations(p, sample_count=8, seed=0):
     """
     rng = random.Random(f"fe|{seed}|{p}")
     reports = []
-    ctx1 = ModulusCtx(p, 1)
-    ctx2 = ModulusCtx(p, 2)
+    ctx1 = ctx_for(p, 1)
+    ctx2 = ctx_for(p, 2)
 
     if p > 3:
-        ctx3 = ModulusCtx(p, 3)
+        ctx3 = ctx_for(p, 3)
         reports.append(checked("wolstenholme_l1", 0, p, 2, None, pounds(1, 1, ctx2), 0))
         reports.append(checked("wolstenholme_l2", 0, p, 1, None, pounds(2, 1, ctx1), 0))
 

@@ -7,11 +7,13 @@ lowest degree first, except in weighted_geometric_sum, which takes them
 highest first (Horner order).
 
 Root sums are integer sequences.  For a monic f, the roots' images
-u = (a c + b)/(gamma c + delta) are the roots of image_poly; the power sums
-of a monic polynomial (power_sums) are the traces Tr(u^k), and past its
-degree they follow its linear recurrence (extend_recurrence), as does
-Tr(v u^k) for any fixed v.  jump gives t^N mod the polynomial, from which
-any single term of such a sequence is one dot product, and from_power_sums
+u = (a c + b)/(gamma c + delta) are the roots of image_poly, and those of
+u -> 1/u are the roots of the cheaper reversal; the power sums of a monic
+polynomial (power_sums) are the traces Tr(u^k), and past its degree they
+follow its linear recurrence (extend_recurrence), as does Tr(v u^k) for
+any fixed v.  pole_trace gives Tr(1/(u - y)) from chi'(y)/chi(y), without
+an image polynomial.  jump gives t^N mod the polynomial, from which any
+single term of such a sequence is one dot product, and from_power_sums
 recovers a characteristic polynomial by Newton's identities.  mulmod is
 their one product mod a monic polynomial.  This is the one engine the
 package has, reported as "numpy" by rkksums.engine().
@@ -115,6 +117,34 @@ def image_poly(f, mobius, m):
         raise NonUnitDenominator(f"u = ({a} c + {b})/({gamma} c + {delta}) is undefined mod {m}")
     inv = pow(acc[n], -1, m)
     return tuple(v * inv % m for v in acc)
+
+
+def reversal(chi, m):
+    """The monic polynomial whose roots are 1/u over the roots u of the monic chi.
+
+    It is chi reversed, divided by chi(0), whose sign-adjusted value is the
+    norm of u; when that is not a unit NonUnitDenominator is raised, as
+    image_poly raises for the map u -> 1/u.
+    """
+    if math.gcd(chi[0], m) != 1:
+        raise NonUnitDenominator(f"1/u is undefined mod {m}: the norm of u is {chi[0]}")
+    inv = pow(chi[0], -1, m)
+    return tuple(v * inv % m for v in reversed(chi))
+
+
+def pole_trace(chi, y, m):
+    """Tr(1/(u - y)) = -chi'(y)/chi(y) over the roots u of the monic chi.
+
+    chi(y) is, up to sign, the norm of u - y; when it is not a unit
+    NonUnitDenominator is raised, as image_poly raises for u -> 1/(u - y).
+    """
+    value = slope = 0
+    for a in reversed(chi):
+        slope = (slope * y + value) % m
+        value = (value * y + a) % m
+    if math.gcd(value, m) != 1:
+        raise NonUnitDenominator(f"1/(u - {y}) is undefined mod {m}")
+    return -slope * pow(value, -1, m) % m
 
 
 def jump(chi, exponent, m):

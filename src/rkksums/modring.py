@@ -24,6 +24,7 @@ Contexts, polynomials, rings and ring elements are immutable after
 construction and all operations are pure, so they can be shared freely.
 """
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -74,7 +75,13 @@ class ModulusCtx:
         """The context at a lower (or equal) precision."""
         if e > self.e:
             raise ValueError(f"cannot raise precision {self.e} -> {e}")
-        return ModulusCtx(self.p, e)
+        return ctx_for(self.p, e)
+
+
+@functools.lru_cache(maxsize=None)
+def ctx_for(p, e):
+    """ModulusCtx(p, e), validated (a Miller-Rabin test) once per (p, e)."""
+    return ModulusCtx(p, e)
 
 
 def residue_from_rational(q, ctx):

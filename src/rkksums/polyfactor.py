@@ -25,7 +25,7 @@ from .errors import (
     NotSquarefree,
     XNotUnit,
 )
-from .modring import ModulusCtx, MonicPoly, as_rational, residue_from_rational
+from .modring import ModulusCtx, MonicPoly, as_rational, ctx_for, residue_from_rational
 
 
 class Degeneracy(enum.Enum):
@@ -170,7 +170,7 @@ def hensel_lift(factor_set, f, target_e):
     One linear correction per extra digit; each lifted factor stays monic
     and congruent to its mod-p original.
     """
-    ctx = ModulusCtx(f.ctx.p, target_e)
+    ctx = ctx_for(f.ctx.p, target_e)
     p = ctx.p
     if target_e == 1:
         return factor_set
@@ -245,7 +245,7 @@ def double_root_cofactor(r, p, e):
     """
     if r < 2:
         raise ValueError("the double-root case needs r >= 2")
-    ctx = ModulusCtx(p, e)
+    ctx = ctx_for(p, e)
     if r * (r - 1) % p == 0:
         raise ValueError(f"p={p} divides r(r-1)")
     f = build_root_poly(r, x0_value(r), ctx)

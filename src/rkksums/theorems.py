@@ -8,10 +8,14 @@ equality of residues.
 
 The symmetric functions (RootSums) are integer sequences mod p^e.  Each
 quantity is a Newton power sum of the polynomial whose roots are a Moebius
-image of c (1-c, 1/c, 1-1/c, 1/(1-c), c/(c-1), 1/(r-1+c); kernels.image_poly),
-or a scalar sequence obeying such a polynomial's recurrence, whose p-th term
-comes from one jump t^p mod that polynomial (kernels.jump).  No ring element
-is built on this path; GaloisRing and the factoring in polyfactor, which
+image of c (1-c, 1/c, 1-1/c, 1/(1-c), c/(c-1); kernels.image_poly and
+kernels.reversal), or a scalar sequence obeying such a polynomial's
+recurrence, such as Tr(s c^k) with s = 1/(r-1+c).  At or below
+SEQUENCE_BOUND a p-th power sum is a term of the sequence up to p, and
+P_p(1-u) one dot product with it, so the sequences of c, 1/c and w give all
+six; above it, and for the terms past p, a p-th term comes from one jump
+t^p mod the polynomial (kernels.jump).  No ring element is built on this
+path; GaloisRing and the factoring in polyfactor, which
 run on _gfpoly's arithmetic and not on kernels, are the reference the tests
 compare with.
 
@@ -38,8 +42,9 @@ from . import finlog, seriesid
 from .binomsums import full_range, lhs_sum, range_A_star, short_range
 from .errors import DenominatorNotUnit
 from .finlog import constants_table, pounds, pounds_from_traces
-from .kernels import extend_recurrence, from_power_sums, image_poly, jump, mulmod, power_sums
-from .modring import GaloisRing, ModulusCtx, as_rational, residue_from_rational
+from .kernels import (
+    extend_recurrence, from_power_sums, image_poly, jump, mulmod, pole_trace, power_sums, reversal)
+from .modring import GaloisRing, as_rational, ctx_for, residue_from_rational
 from .polyfactor import (
     Degeneracy,
     build_root_poly,
@@ -61,7 +66,7 @@ def _factor_rings(r, x, p, e):
     over all roots and its characteristic polynomial the product.  Root sums
     never build it; it is the reference that RootSums.rings exposes.
     """
-    f = build_root_poly(r, x, ModulusCtx(p, e))
+    f = build_root_poly(r, x, ctx_for(p, e))
     return (GaloisRing(f),)
 
 
@@ -71,21 +76,49 @@ ONE_MINUS_C = (-1, 1, 0, 1)
 INV_C = (0, 1, 1, 0)
 ONE_MINUS_INV_C = (1, -1, 1, 0)
 W = (0, 1, -1, 1)              # 1/(1-c)
-Z = (1, 0, 1, -1)              # c/(c-1)
+Z = (1, 0, 1, -1)              # c/(c-1) = 1 - w
+
+# 1/c and w have the reversed polynomials of c and 1-c
+_REVERSED = {INV_C: C, W: ONE_MINUS_C}
+# 1-c, 1-1/c and z are 1 - u for these u
+_ONE_MINUS = {C: ONE_MINUS_C, INV_C: ONE_MINUS_INV_C, W: Z}
+
+# At or below this prime a p-th power sum is a term of the sequence
+# P_0..P_p, whose terms below p the polylog traces weigh anyway, and
+# P_p(1-u) is its dot product with the signed binomial row.  Above it each
+# takes one jump t^p mod chi: O(r^2 log p) products against the
+# sequence's O(r p).  For mystery's and lemma_technical's six sums the
+# sequences were the faster up to p of about 110 at r = 2, 160 at r = 4
+# and 200 at r = 6.
+SEQUENCE_BOUND = 128
 
 
 def _dot(q, terms, m):
     return sum(map(operator.mul, q, terms)) % m
 
 
+# one prime's rows (e <= 3): the sweep walks prime by prime
+@functools.lru_cache(maxsize=3)
+def _signed_binomials(p, e):
+    """(-1)^j C(p,j) mod p^e for j = 0..p, built multiplicatively.
+
+    B_j = -B_(j-1) (p-j+1)/j, and j is a unit for 0 < j < p; B_p = -1.
+    """
+    m = p ** e
+    row = [1]
+    for j in range(1, p):
+        row.append(-row[-1] * (p - j + 1) * pow(j, -1, m) % m)
+    return tuple(row) + (m - 1,)
+
+
 def _shift_traces(f, r, sums, m):
     """T_0..T_len(sums), T_k = Tr(s c^k) over the roots c of f, s = 1/(r-1+c).
 
-    T_0 = P_1(s), and s c^(k+1) = c^k - (r-1) s c^k gives
-    T_(k+1) = P_k(c) - (r-1) T_k from sums = P_0(c), P_1(c), ...
+    T_0 = Tr(s) = -f'(1-r)/f(1-r) (kernels.pole_trace), and
+    s c^(k+1) = c^k - (r-1) s c^k gives T_(k+1) = P_k(c) - (r-1) T_k from
+    sums = P_0(c), P_1(c), ...
     """
-    chi_s = image_poly(f, (0, 1, 1, r - 1), m)
-    t = [-chi_s[-2] % m]
+    t = [pole_trace(f, 1 - r, m)]
     for pk in sums:
         t.append((pk - (r - 1) * t[-1]) % m)
     return t
@@ -99,13 +132,20 @@ class _Image:
     a sequence is a dot product with the jump t^(k p) mod chi.
     """
 
-    __slots__ = ("chi", "p", "m", "head", "_jumps", "_below_p")
+    __slots__ = ("chi", "p", "m", "_head", "_jumps", "_sums")
 
     def __init__(self, chi, p, m):
         self.chi, self.p, self.m = chi, p, m
-        self.head = tuple(power_sums(chi, len(chi) - 2, m))   # P_0..P_(n-1)
+        self._head = self._sums = None
         self._jumps = []
-        self._below_p = None
+
+    @property
+    def head(self):
+        """P_0(u)..P_(n-1)(u)."""
+        if self._head is None:
+            n = len(self.chi) - 1
+            self._head = tuple(self._sums[:n] if self._sums else power_sums(self.chi, n - 1, self.m))
+        return self._head
 
     def jump(self, k=1):
         """t^(k p) mod chi."""
@@ -121,25 +161,26 @@ class _Image:
         return _dot(self.jump(k), terms, self.m)
 
     def power_sum_p(self, k=1):
-        """P_(k p)(u)."""
+        """P_(k p)(u), by a jump."""
         return self.at_p(self.head, k)
 
-    def power_sums_below_p(self):
-        """P_0(u)..P_(p-1)(u), the sequence a polylog trace weighs."""
-        if self._below_p is None:
-            self._below_p = power_sums(self.chi, self.p - 1, self.m)
-        return self._below_p
+    def power_sums(self):
+        """P_0(u)..P_p(u): a polylog trace weighs the terms below p."""
+        if self._sums is None:
+            self._sums = power_sums(self.chi, self.p, self.m)
+        return self._sums
 
 
-def _pth_power_sum(mobius):
-    """A cached RootSums attribute: P_p(u) for the image u of c under mobius."""
-    return functools.cached_property(lambda rs: rs._image(mobius).power_sum_p())
+def _pth_power_sum(mobius, one_minus=False):
+    """A cached RootSums attribute: P_p(u) for the image u of c under
+    mobius, or P_p(1-u) when one_minus."""
+    return functools.cached_property(lambda rs: rs._power_sum_p(mobius, one_minus))
 
 
 def _polylog_trace(s, mobius):
     """A cached RootSums attribute: Tr(pounds_s(u)) = sum_(k<p) k^-s P_k(u)."""
     return functools.cached_property(lambda rs: pounds_from_traces(
-        s, rs._image(mobius).power_sums_below_p(), rs.p, rs.e))
+        s, rs._image(mobius).power_sums(), rs.p, rs.e))
 
 
 class RootSums:
@@ -147,8 +188,10 @@ class RootSums:
 
     Every quantity is a power sum of the polynomial whose roots are a
     Moebius image of the roots c of f, or a scalar sequence that obeys such
-    a polynomial's recurrence; p-th terms come from one jump each.  No ring
-    element is built: rings (for reference checks) is made only on request.
+    a polynomial's recurrence.  p-th terms are terms of a sequence up to p
+    at or below SEQUENCE_BOUND, and come from one jump each above it.  No
+    ring element is built: rings (for reference checks) is made only on
+    request.
     """
 
     def __init__(self, r, x, p, e):
@@ -156,7 +199,7 @@ class RootSums:
         self.x = x
         self.p = p
         self.e = e
-        self.ctx = _ctx(p, e)
+        self.ctx = ctx_for(p, e)
         self.m = self.ctx.modulus
         self._images = {}
 
@@ -173,9 +216,37 @@ class RootSums:
 
     def _image(self, mobius):
         if mobius not in self._images:
-            chi = self._f if mobius == C else image_poly(self._f, mobius, self.m)
+            if mobius == C:
+                chi = self._f
+            elif mobius in _REVERSED:
+                chi = reversal(self._image(_REVERSED[mobius]).chi, self.m)
+            else:
+                chi = image_poly(self._f, mobius, self.m)
             self._images[mobius] = _Image(chi, self.p, self.m)
         return self._images[mobius]
+
+    def _one_minus_p(self, mobius, terms):
+        """Tr(v (1-u)^p) for u = mobius(c), from terms[k] = Tr(v u^k).
+
+        (1-u)^p = sum_j (-1)^j C(p,j) u^j.  At or below SEQUENCE_BOUND terms
+        runs to k = p and this is one dot product.  Above it terms needs
+        k < deg f = r only: those binomial sums start the sequence
+        Tr(v (1-u)^k), and one jump mod 1-u's polynomial gives its term p.
+        """
+        p, m = self.p, self.m
+        if p <= SEQUENCE_BOUND:
+            return _dot(_signed_binomials(p, self.e), terms, m)
+        head = [sum((-1) ** i * math.comb(k, i) * terms[i] for i in range(k + 1)) % m
+                for k in range(self.r)]
+        return self._image(_ONE_MINUS[mobius]).at_p(head)
+
+    def _power_sum_p(self, mobius, one_minus):
+        """P_p(u), or P_p(1-u) when one_minus, for u = mobius(c)."""
+        image = self._image(mobius)
+        if self.p > SEQUENCE_BOUND:
+            return self._one_minus_p(mobius, image.head) if one_minus else image.power_sum_p()
+        sums = image.power_sums()
+        return self._one_minus_p(mobius, sums) if one_minus else sums[self.p]
 
     @functools.cached_property
     def _shift_traces(self):
@@ -188,21 +259,26 @@ class RootSums:
         return self._image(C).at_p(self._shift_traces[:self.r])
 
     @functools.cached_property
-    def _shift_one_minus_trace_p(self):
-        """U_p = Tr(s (1-c)^p), from U_0 = T_0 and U_(k+1) = r U_k - P_k(1-c)."""
-        r, m = self.r, self.m
-        image = self._image(ONE_MINUS_C)
-        u = [self._shift_traces[0]]
-        for pk in image.head[:r - 1]:
-            u.append((r * u[-1] - pk) % m)
-        return image.at_p(u)
+    def _shift_bracket(self):
+        """(T_0, T_p, U_p), U_p = Tr(s (1-c)^p) = sum_j (-1)^j C(p,j) T_j.
 
+        At or below SEQUENCE_BOUND all three come from T_0..T_p; above it
+        T_p and U_p take one jump each.
+        """
+        r, p = self.r, self.p
+        if p > SEQUENCE_BOUND:
+            t = self._shift_traces
+            return t[0], self._shift_trace_p, self._one_minus_p(C, t)
+        t = _shift_traces(self._f, r, self._image(C).power_sums()[:p], self.m)
+        return t[0], t[p], self._one_minus_p(C, t)
+
+    # three sequences, of c, 1/c and w, give all six p-th power sums
     sum_c_pow_p = _pth_power_sum(C)
-    sum_one_minus_c_pow_p = _pth_power_sum(ONE_MINUS_C)
+    sum_one_minus_c_pow_p = _pth_power_sum(C, one_minus=True)
     sum_inv_c_pow_p = _pth_power_sum(INV_C)
-    sum_one_minus_inv_c_pow_p = _pth_power_sum(ONE_MINUS_INV_C)
+    sum_one_minus_inv_c_pow_p = _pth_power_sum(INV_C, one_minus=True)
     sum_inv_one_minus_c_pow_p = _pth_power_sum(W)
-    sum_cp_over_cm1_p = _pth_power_sum(Z)
+    sum_cp_over_cm1_p = _pth_power_sum(W, one_minus=True)
     sum_pounds1 = _polylog_trace(1, C)
     sum_pounds2_c = _polylog_trace(2, C)
     sum_pounds2_one_minus_c = _polylog_trace(2, ONE_MINUS_C)
@@ -248,8 +324,8 @@ class RootSums:
     def _bracket_trace(self, k):
         """Tr(s (k - (r-1) c^p - r (1-c)^p))."""
         r = self.r
-        return (k * self._shift_traces[0] - (r - 1) * self._shift_trace_p
-                - r * self._shift_one_minus_trace_p)
+        t_0, t_p, u_p = self._shift_bracket
+        return k * t_0 - (r - 1) * t_p - r * u_p
 
     @functools.cached_property
     def sum_mod2_full(self):
@@ -282,33 +358,37 @@ def root_sums(r, x, p, e):
     return RootSums(r, x, p, e)
 
 
-@functools.lru_cache(maxsize=None)
-def _ctx(p, e):
-    """Z/p^e, validated once per (p, e)."""
-    return ModulusCtx(p, e)
-
-
 @dataclass(frozen=True)
 class Point:
-    """One (r, x, p) inside its families' scope; its root sums are read at p^e."""
+    """One (r, x, p) inside its families' scope; its root sums are read at p^e.
+
+    The point looks its RootSums up once and keeps them, and keeps x^p mod
+    p^e, which every lower precision reduces.
+    """
 
     r: int
     x: Fraction
     p: int
     e: int
 
-    @property
+    @functools.cached_property
     def rs(self):
         return root_sums(self.r, self.x, self.p, self.e)
 
-    def xp(self, e):
-        """x^p mod p^e."""
-        ctx = _ctx(self.p, e)
+    @functools.cached_property
+    def _xp(self):
+        ctx = ctx_for(self.p, self.e)
         return pow(residue_from_rational(self.x, ctx), self.p, ctx.modulus)
+
+    def xp(self, e):
+        """x^p mod p^e, for e up to the point's precision."""
+        if e > self.e:
+            raise ValueError(f"x^p mod p^{e} read at a point of precision {self.e}")
+        return self._xp % self.p ** e
 
     def lhs(self, d, sum_range, e):
         """The sum of binom(rk,k) x^k / k^d over sum_range, mod p^e."""
-        return lhs_sum(self.r, self.x, d, sum_range, _ctx(self.p, e))
+        return lhs_sum(self.r, self.x, d, sum_range, ctx_for(self.p, e))
 
     def report(self, theorem, e, lhs, rhs, m=None):
         return checked(theorem, self.r, self.p, e, self.x, lhs, rhs, m)
@@ -525,7 +605,7 @@ def check_rkkmod2_multiple(r, p):
     m2 = p * p
     double_root, cofactor = double_root_cofactor(r, p, 2)
     lhs = pt.lhs(0, full_range(p, include_zero=True), 2)
-    l1_at_root = pounds(1, double_root, _ctx(p, 2))
+    l1_at_root = pounds(1, double_root, ctx_for(p, 2))
     tail = p * r * (r - 2) * pow(r - 1, -1, m2) * l1_at_root
     head = ((r - 2 + 3 * p * r) * pow(r - 1, p - 1, m2) - tail) % m2
     term1 = 2 * pt.xp(2) * pow(3, -1, m2) * head
@@ -539,7 +619,7 @@ def check_central_pol(x, p):
     if x.denominator % p == 0:
         return [skipped("central_pol", 2, p, 1, x, "DenominatorNotUnit")]
     pt = Point(2, x, p, 1)
-    xv = residue_from_rational(x, _ctx(p, 1))
+    xv = residue_from_rational(x, ctx_for(p, 1))
     rhs = pow((1 - 4 * xv) % p, (p - 1) // 2, p)
     return [pt.report("central_pol", 1, pt.lhs(0, short_range(2, p, include_zero=True), 1), rhs)]
 
@@ -558,7 +638,7 @@ def split_residues(r, p):
 
 def check_cor_split(r, p):
     """For every residue a whose root polynomial splits over F_p, both sums vanish."""
-    ctx, long, short = _ctx(p, 1), full_range(p), short_range(r, p)
+    ctx, long, short = ctx_for(p, 1), full_range(p), short_range(r, p)
     out = []
     for a in split_residues(r, p):
         x = Fraction(a)
@@ -577,7 +657,7 @@ def check_r3_beta(p, sample_count=8, seed=0):
     if skip:
         return skip
     rng = random.Random(f"beta|{seed}|{p}")
-    ctx = _ctx(p, 1)
+    ctx = ctx_for(p, 1)
     out = []
     for _ in range(sample_count):
         beta = rng.randrange(2, p - 1) if p > 5 else rng.randrange(1, p)
@@ -660,7 +740,7 @@ def check_numerics_table(p):
         if not admissible:
             out.append(skipped(row_id, r, p, e, x, "ExcludedPrime"))
             continue
-        lhs = lhs_sum(r, x, d, sum_range, _ctx(p, e))
+        lhs = lhs_sum(r, x, d, sum_range, ctx_for(p, e))
         out.append(checked(row_id, r, p, e, x, lhs, rhs_fn()))
     return out
 

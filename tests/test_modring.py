@@ -1,20 +1,24 @@
 """Tests for the residue/Galois-ring layer."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from helpers import lift_root
+from rkksums import cli
 from rkksums.binomsums import lhs_sum
-from rkksums.errors import DenominatorNotUnit, NotAUnit
+from rkksums.errors import DenominatorNotUnit, ModulusTooLarge, NotAUnit
 from rkksums.finlog import fermat_quotient, lucas_quotient, pounds
 from rkksums.modring import (
     GaloisRing,
     ModulusCtx,
     MonicPoly,
+    ctx_for,
     residue_from_rational,
 )
+from rkksums.primes import odd_primes_in
 
 
 def test_ctx_validation():
@@ -28,6 +32,27 @@ def test_ctx_validation():
         ModulusCtx(7, 4)
     with pytest.raises(ValueError):
         ModulusCtx(2_000_003, 3)  # p^3 exceeds MAX_MODULUS
+
+
+def test_a_sweep_validates_each_modulus_once(monkeypatch):
+    built = Counter()
+    validate = ModulusCtx.__post_init__
+
+    def counted(ctx):
+        built[ctx.p, ctx.e] += 1
+        validate(ctx)
+
+    monkeypatch.setattr(ModulusCtx, "__post_init__", counted)
+    ctx_for.cache_clear()
+    tags = ["cor_split", "numerics", "central_pol", "fe", "r3_beta", "rkksuk", "mystery", "rkksukk"]
+    config = cli.RunConfig(r_values=[2, 3], primes=odd_primes_in(5, 60), x_random=2, theorems=tags)
+    summary, _ = cli.run(config)
+    assert summary.failed == 0 and summary.passed > 500
+    assert built and set(built.values()) == {1}, built
+    assert ctx_for(7, 2) is ctx_for(7, 2) == ModulusCtx(7, 2)
+    for _ in range(2):  # a refusal is raised on every call, never cached
+        with pytest.raises(ModulusTooLarge):
+            ctx_for(2_000_003, 3)
 
 
 def test_residue_from_rational_examples():

@@ -1,27 +1,33 @@
 """Root sums as integer sequences: the helpers against the ring, and the ring off the verdict path.
 
 RootSums takes every quantity from power sums of Moebius-image polynomials
-(kernels.image_poly) and from jumps t^N mod chi (kernels.jump).  These
-tests hold the helpers to the element-level GaloisRing, whose arithmetic is
-_gfpoly's and not kernels', on random monic
-moduli that need not be squarefree, and check that a sweep never builds a
-ring element, nor one image's power sums below p twice, and that every
-root sum a checker reads reduces from p^3 to the value computed at p or p^2.
+(kernels.image_poly, kernels.reversal) and, above theorems.SEQUENCE_BOUND,
+from jumps t^N mod chi (kernels.jump).  These tests hold the helpers to the
+element-level GaloisRing, whose arithmetic is _gfpoly's and not kernels',
+on random monic moduli that need not be squarefree, and the shortcuts the
+sequences take (P_p(1-u) from P_0(u)..P_p(u), reversals, Tr(1/(u-y)) from
+chi'/chi) to the image polynomials they replace.  They check that a sweep
+never builds a ring element, nor one image's power sums twice, that both
+sides of the bound agree, and that every root sum a checker reads reduces
+from p^3 to the value computed at p or p^2.
 """
 
 import operator
 from collections import Counter
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rkksums import cli, theorems
+from rkksums import cli, kernels, theorems
 from rkksums.errors import NonUnitDenominator, NotAUnit
-from rkksums.kernels import extend_recurrence, from_power_sums, image_poly, jump, power_sums
+from rkksums.kernels import (
+    extend_recurrence, from_power_sums, image_poly, jump, pole_trace, power_sums, reversal)
 from rkksums.modring import GaloisRing, ModulusCtx, MonicPoly
-from rkksums.polyfactor import Degeneracy, classify_x
+from rkksums.polyfactor import Degeneracy, classify_x, x0_value
 from rkksums.primes import odd_primes_in
+from rkksums.report import emit_report
 
 MOBIUS = [theorems.C, theorems.ONE_MINUS_C, theorems.INV_C,
           theorems.ONE_MINUS_INV_C, theorems.W, theorems.Z]
@@ -106,11 +112,12 @@ def test_sweep_builds_no_ring_element(monkeypatch):
 
 
 def test_power_sums_below_p_are_built_once_per_image(monkeypatch):
+    # the sequence runs to P_p: the polylog traces weigh its terms below p
     p = 101
     built = Counter()
 
     def counted(poly, count, m):
-        if count == p - 1:
+        if count == p:
             built[tuple(poly), m] += 1
         return power_sums(poly, count, m)
 
@@ -169,3 +176,110 @@ def test_every_root_sum_a_checker_reads_commutes_with_reduction(point):
             value = getattr(high, name)
             reduced = tuple(v % m for v in value) if isinstance(value, tuple) else value % m
             assert reduced == getattr(low, name), (name, r, x, p, e)
+
+
+def _raises_or_value(fn, *args):
+    try:
+        return fn(*args)
+    except NonUnitDenominator:
+        return NonUnitDenominator
+
+
+@settings(max_examples=150, deadline=None)
+@given(monic_moduli())
+def test_the_signed_binomial_dot_is_the_p_th_power_sum_of_one_minus_u(modulus):
+    ctx, chi = modulus
+    p, m = ctx.p, ctx.modulus
+    flipped = image_poly(chi, (-1, 1, 0, 1), m)
+    jumped = sum(map(operator.mul, jump(flipped, p, m), power_sums(flipped, len(chi) - 2, m))) % m
+    row = theorems._signed_binomials(p, ctx.e)
+    assert sum(map(operator.mul, row, power_sums(chi, p, m))) % m == jumped
+
+
+@settings(max_examples=150, deadline=None)
+@given(monic_moduli())
+def test_the_reversal_is_the_image_of_u_under_one_over_u(modulus):
+    ctx, chi = modulus
+    m, count = ctx.modulus, 2 * len(chi)
+    rev = _raises_or_value(reversal, chi, m)
+    image = _raises_or_value(image_poly, chi, (0, 1, 1, 0), m)
+    if NonUnitDenominator in (rev, image):
+        assert rev is image is NonUnitDenominator
+    else:
+        assert power_sums(rev, count, m) == power_sums(image, count, m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(monic_moduli(), st.integers(-3, 3))
+def test_the_pole_trace_is_p_1_of_the_image_of_u_under_one_over_u_minus_y(modulus, y):
+    ctx, chi = modulus
+    m = ctx.modulus
+    trace = _raises_or_value(pole_trace, chi, y, m)
+    image = _raises_or_value(image_poly, chi, (0, 1, 1, -y), m)
+    if NonUnitDenominator in (trace, image):
+        assert trace is image is NonUnitDenominator
+    else:
+        assert trace == power_sums(image, 1, m)[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(nondegenerate_points(), st.integers(1, 3))
+def test_both_sides_of_the_sequence_bound_agree(point, e):
+    r, x, p = point
+    values = {}
+    for bound in (p - 1, p):    # every p-th term by a jump, then by a sequence
+        theorems.SEQUENCE_BOUND, saved = bound, theorems.SEQUENCE_BOUND
+        try:
+            rs = theorems.RootSums(r, x, p, e)
+            values[bound] = {name: getattr(rs, name) for name in READ_BY_CHECKERS}
+        finally:
+            theorems.SEQUENCE_BOUND = saved
+    assert values[p - 1] == values[p], (r, x, p, e)
+
+
+SEQUENCE_TAGS = ["mystery", "lemma_technical", "rkksukk", "rkksukmod2", "rkkmod2", "rkkmod2_var"]
+
+
+def test_below_the_bound_these_tags_take_no_jump(monkeypatch):
+    # x = 0, x0 at r = 2, 3, 4, 6 and a denominator divisible by p are degenerate somewhere
+    xs = [Fraction(0), Fraction(2), Fraction(-1, 3), Fraction(1, 7)] + [x0_value(r) for r in (2, 3, 4, 6)]
+    config = cli.RunConfig(r_values=[1, 2, 3, 4, 5, 6], primes=odd_primes_in(5, 60), x_values=xs,
+                           x_random=2, theorems=SEQUENCE_TAGS, fmt="csv")
+
+    def report():
+        theorems.root_sums.cache_clear()
+        summary, reports = cli.run(config)
+        assert summary.failed == 0 and summary.skipped > 0
+        return emit_report(reports, "csv", None)
+
+    assert max(config.primes) <= theorems.SEQUENCE_BOUND
+    monkeypatch.setattr(theorems, "SEQUENCE_BOUND", 0)
+    jumped = report()
+
+    def forbidden(*args):
+        raise AssertionError("a jump below the sequence bound")
+
+    monkeypatch.undo()
+    monkeypatch.setattr(theorems, "jump", forbidden)
+    monkeypatch.setattr(kernels, "jump", forbidden)
+    assert report() == jumped
+
+
+@pytest.mark.parametrize("r", [2, 6])
+def test_above_the_bound_mystery_and_lemma_technical_build_short_sequences(r, monkeypatch):
+    lengths = []
+
+    def counted(poly, count, m):
+        lengths.append(count + 1)
+        return power_sums(poly, count, m)
+
+    def extended(poly, head, count, m):
+        lengths.append(count + 1)
+        return extend_recurrence(poly, head, count, m)
+
+    monkeypatch.setattr(theorems, "power_sums", counted)
+    monkeypatch.setattr(theorems, "extend_recurrence", extended)
+    theorems.root_sums.cache_clear()
+    rows = theorems.point_rows(["mystery", "lemma_technical"], r, 10_007, Fraction(2))
+    assert [row.verdict for row in rows] == ["pass"] * 3
+    assert lengths and max(lengths) <= 2 * r, lengths
