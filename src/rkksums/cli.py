@@ -5,10 +5,10 @@ this module only parses the sweep, draws the x values and runs the tasks.
 
 Exit codes: 0 when every executed check passes (skips allowed), 1 when any
 check fails, 2 on configuration errors and on inputs the package refuses
-(such as a modulus p^e beyond MAX_MODULUS, refused before any check runs),
-3 when the program itself breaks: any other exception, reported as one
-"internal error:" line naming the task, so a crash never reads as a failed
-congruence.
+(such as a modulus p^e beyond MAX_MODULUS), all refused before any task
+runs, 3 when a task raises, the package's own errors included: one
+"internal error:" line names the task, so a crash never reads as a failed
+congruence or a refusal.
 """
 
 import argparse
@@ -96,7 +96,7 @@ def refuse_large_moduli(selected, primes):
 
 
 class TaskError(Exception):
-    """A task raised something other than an RkksumsError: a bug, not a verdict."""
+    """A task raised, a package error included: a bug, not a verdict."""
 
 
 def _outside_scope(tags, r, p):
@@ -155,8 +155,6 @@ def run(config):
     for where, fn, args in build_tasks(config):
         try:
             reports += fn(*args)
-        except RkksumsError:
-            raise
         except Exception as exc:
             at = ", ".join(f"{key}={value}" for key, value in where.items())
             raise TaskError(f"{at}: {type(exc).__name__}: {exc}") from exc

@@ -10,11 +10,13 @@ the tests keep a polylog of a Galois-ring element as the element-level
 reference.  The weights k^-s are one cached tuple of Python ints per
 (p, e, s).  The constants gathered here - Fermat quotients, E_{p-3},
 B_{p-2}(1/3), the Lucas quotient and Legendre symbols - are what the
-closed-form numerical congruences evaluate to.
+closed-form numerical congruences evaluate to; L_n is the n-th power sum
+of the roots of t^2 - t - 1, one kernels.jump like a root sum's p-th term.
 
 The Euler number and the Bernoulli polynomial value are each one sum of
-k^-2, O(p) work per prime (E. Lehmer, On congruences involving Bernoulli
-numbers and the quotients of Fermat and Wilson, Ann. of Math. 39, 1938):
+the cached weights k^-2 mod p, O(p) work per prime (E. Lehmer, On
+congruences involving Bernoulli numbers and the quotients of Fermat and
+Wilson, Ann. of Math. 39, 1938):
 
     E_{p-3}      = (-1)^((p-1)/2) / 4 * sum_{k=1}^{floor(p/4)} k^-2  (mod p)
     B_{p-2}(1/3) = 2 (p|3) * sum_{k=1}^{floor(p/3)} k^-2             (mod p)
@@ -75,23 +77,9 @@ def fermat_quotient(x, p, out_precision=1):
 
 
 def lucas_number_mod(n, m):
-    """L_n mod m via 2x2 companion-matrix power (L_0 = 2, L_1 = 1)."""
-    a, b, c, d = 1, 1, 1, 0
-    ra, rb, rc, rd = 1, 0, 0, 1
-    k = n
-    while k > 0:
-        if k & 1:
-            ra, rb, rc, rd = (
-                (ra * a + rb * c) % m, (ra * b + rb * d) % m,
-                (rc * a + rd * c) % m, (rc * b + rd * d) % m,
-            )
-        a, b, c, d = (
-            (a * a + b * c) % m, (a * b + b * d) % m,
-            (c * a + d * c) % m, (c * b + d * d) % m,
-        )
-        k >>= 1
-    # matrix^n = [[F_{n+1}, F_n], [F_n, F_{n-1}]]; L_n is its trace
-    return (ra + rd) % m
+    """L_n mod m: t^n mod t^2 - t - 1 (kernels.jump), dotted with L_0 = 2, L_1 = 1."""
+    q = kernels.jump((m - 1, m - 1, 1), n, m)
+    return (2 * q[0] + q[1]) % m
 
 
 def lucas_quotient(p):
@@ -132,11 +120,6 @@ class ConstantsTable:
     leg_m2: int       # (-2|p)
 
 
-def _inverse_square_sum(n, p):
-    """sum_{k=1}^n k^-2 mod p."""
-    return sum(pow(k, -2, p) for k in range(1, n + 1)) % p
-
-
 def constants_table(p):
     if p <= 3:
         raise ValueError("need p > 3")
@@ -147,8 +130,8 @@ def constants_table(p):
         qp3=fermat_quotient(3, p),
         qp2_sq=fermat_quotient(2, p, 2),
         qp3_sq=fermat_quotient(3, p, 2),
-        euler_pm3=sign_half * pow(4, -1, p) * _inverse_square_sum(p // 4, p) % p,
-        b_pm2_third=2 * legendre(p, 3) * _inverse_square_sum(p // 3, p) % p,
+        euler_pm3=sign_half * pow(4, -1, p) * sum(_weights(p, 1, 2)[:p // 4]) % p,
+        b_pm2_third=2 * legendre(p, 3) * sum(_weights(p, 1, 2)[:p // 3]) % p,
         lucas_q=None if p == 5 else lucas_quotient(p),
         sign_half=sign_half,
         leg5=legendre(p, 5),

@@ -10,14 +10,14 @@ The symmetric functions (RootSums) are integer sequences mod p^e.  Each
 quantity is a Newton power sum of the polynomial whose roots are a Moebius
 image of c (1-c, 1/c, 1-1/c, 1/(1-c), c/(c-1); kernels.image_poly and
 kernels.reversal), or a scalar sequence obeying such a polynomial's
-recurrence, such as Tr(s c^k) with s = 1/(r-1+c).  At or below
-SEQUENCE_BOUND a p-th power sum is a term of the sequence up to p, and
-P_p(1-u) one dot product with it, so the sequences of c, 1/c and w give all
-six; above it, and for the terms past p, a p-th term comes from one jump
-t^p mod the polynomial (kernels.jump).  No ring element is built on this
-path; GaloisRing and the factoring in polyfactor, which
-run on _gfpoly's arithmetic and not on kernels, are the reference the tests
-compare with.
+recurrence, such as Tr(s c^k) with s = 1/(r-1+c).  _Image.term_p reads a
+p-th term off a sequence that reaches it, and otherwise takes one jump
+t^(kp) mod the polynomial (kernels.jump).  RootSums._terms alone reads
+SEQUENCE_BOUND: at or below it a sequence runs to P_p, and P_p(1-u) is one
+dot product with it; above it a sequence is its head.  rkk's T_p and the
+terms past p jump at every prime.  No ring element is built on this path;
+GaloisRing and the factoring in polyfactor, which run on _gfpoly's
+arithmetic and not on kernels, are the reference the tests compare with.
 
 FAMILIES has one row per CLI tag: the grid it walks, its precision, its
 scope, its skip-row ids and the function computing its rows.  _skip_rows
@@ -128,8 +128,8 @@ class _Image:
     """The images u of all roots of one polynomial under one Moebius map.
 
     chi is their monic polynomial, so the power sums P_k(u) = Tr(u^k) obey
-    its recurrence, and so does Tr(v u^k) for any fixed v: term k p of such
-    a sequence is a dot product with the jump t^(k p) mod chi.
+    its recurrence, and so does Tr(v u^k) for any fixed v: term_p reads term
+    k p of such a sequence off it, or dots it with the jump t^(k p) mod chi.
     """
 
     __slots__ = ("chi", "p", "m", "_head", "_jumps", "_sums")
@@ -147,22 +147,16 @@ class _Image:
             self._head = tuple(self._sums[:n] if self._sums else power_sums(self.chi, n - 1, self.m))
         return self._head
 
-    def jump(self, k=1):
-        """t^(k p) mod chi."""
+    def term_p(self, terms, k=1):
+        """Term k p of the sequence that starts with terms (at least n of them)."""
+        if len(terms) > k * self.p:
+            return terms[k * self.p]
         jumps = self._jumps
         if not jumps:
             jumps.append(jump(self.chi, self.p, self.m))
         while len(jumps) < k:
             jumps.append(mulmod(jumps[-1], jumps[0], self.chi, self.m))
-        return jumps[k - 1]
-
-    def at_p(self, terms, k=1):
-        """Term k p of the sequence whose terms 0..n-1 are terms."""
-        return _dot(self.jump(k), terms, self.m)
-
-    def power_sum_p(self, k=1):
-        """P_(k p)(u), by a jump."""
-        return self.at_p(self.head, k)
+        return _dot(jumps[k - 1], terms, self.m)
 
     def power_sums(self):
         """P_0(u)..P_p(u): a polylog trace weighs the terms below p."""
@@ -188,10 +182,9 @@ class RootSums:
 
     Every quantity is a power sum of the polynomial whose roots are a
     Moebius image of the roots c of f, or a scalar sequence that obeys such
-    a polynomial's recurrence.  p-th terms are terms of a sequence up to p
-    at or below SEQUENCE_BOUND, and come from one jump each above it.  No
-    ring element is built: rings (for reference checks) is made only on
-    request.
+    a polynomial's recurrence.  _terms decides how far a sequence runs, and
+    _Image.term_p takes each p-th term from it.  No ring element is built:
+    rings (for reference checks) is made only on request.
     """
 
     def __init__(self, r, x, p, e):
@@ -225,28 +218,31 @@ class RootSums:
             self._images[mobius] = _Image(chi, self.p, self.m)
         return self._images[mobius]
 
+    def _terms(self, mobius):
+        """P_0(u).. for u = mobius(c): to P_p at or below the bound, else the
+        head P_0..P_(n-1), which term_p continues by a jump."""
+        image = self._image(mobius)
+        return image.power_sums() if self.p <= SEQUENCE_BOUND else image.head
+
     def _one_minus_p(self, mobius, terms):
         """Tr(v (1-u)^p) for u = mobius(c), from terms[k] = Tr(v u^k).
 
-        (1-u)^p = sum_j (-1)^j C(p,j) u^j.  At or below SEQUENCE_BOUND terms
-        runs to k = p and this is one dot product.  Above it terms needs
-        k < deg f = r only: those binomial sums start the sequence
-        Tr(v (1-u)^k), and one jump mod 1-u's polynomial gives its term p.
+        (1-u)^p = sum_j (-1)^j C(p,j) u^j.  When terms runs to k = p this is
+        one dot product.  Otherwise terms needs k < deg f = r only: those
+        binomial sums start the sequence Tr(v (1-u)^k), and one jump mod
+        1-u's polynomial gives its term p.
         """
         p, m = self.p, self.m
-        if p <= SEQUENCE_BOUND:
+        if len(terms) > p:
             return _dot(_signed_binomials(p, self.e), terms, m)
         head = [sum((-1) ** i * math.comb(k, i) * terms[i] for i in range(k + 1)) % m
                 for k in range(self.r)]
-        return self._image(_ONE_MINUS[mobius]).at_p(head)
+        return self._image(_ONE_MINUS[mobius]).term_p(head)
 
     def _power_sum_p(self, mobius, one_minus):
         """P_p(u), or P_p(1-u) when one_minus, for u = mobius(c)."""
-        image = self._image(mobius)
-        if self.p > SEQUENCE_BOUND:
-            return self._one_minus_p(mobius, image.head) if one_minus else image.power_sum_p()
-        sums = image.power_sums()
-        return self._one_minus_p(mobius, sums) if one_minus else sums[self.p]
+        terms = self._terms(mobius)
+        return self._one_minus_p(mobius, terms) if one_minus else self._image(mobius).term_p(terms)
 
     @functools.cached_property
     def _shift_traces(self):
@@ -254,23 +250,11 @@ class RootSums:
         return _shift_traces(self._f, self.r, self._image(C).head, self.m)
 
     @functools.cached_property
-    def _shift_trace_p(self):
-        """T_p = Tr(s c^p)."""
-        return self._image(C).at_p(self._shift_traces[:self.r])
-
-    @functools.cached_property
     def _shift_bracket(self):
-        """(T_0, T_p, U_p), U_p = Tr(s (1-c)^p) = sum_j (-1)^j C(p,j) T_j.
-
-        At or below SEQUENCE_BOUND all three come from T_0..T_p; above it
-        T_p and U_p take one jump each.
-        """
-        r, p = self.r, self.p
-        if p > SEQUENCE_BOUND:
-            t = self._shift_traces
-            return t[0], self._shift_trace_p, self._one_minus_p(C, t)
-        t = _shift_traces(self._f, r, self._image(C).power_sums()[:p], self.m)
-        return t[0], t[p], self._one_minus_p(C, t)
+        """(T_0, T_p, U_p), U_p = Tr(s (1-c)^p) = sum_j (-1)^j C(p,j) T_j,
+        read off T_0..T_p at or below the bound, else by one jump each."""
+        t = _shift_traces(self._f, self.r, self._terms(C)[:self.p], self.m)
+        return t[0], self._image(C).term_p(t), self._one_minus_p(C, t)
 
     # three sequences, of c, 1/c and w, give all six p-th power sums
     sum_c_pow_p = _pth_power_sum(C)
@@ -302,7 +286,8 @@ class RootSums:
     @functools.cached_property
     def sum_rkk_long(self):
         """Tr((c - c^p) s) = T_1 - T_p."""
-        return (self._shift_traces[1] - self._shift_trace_p) % self.m
+        t = self._shift_traces
+        return (t[1] - self._image(C).term_p(t)) % self.m
 
     @functools.cached_property
     def sum_rkk_short(self):
@@ -315,10 +300,10 @@ class RootSums:
         """
         r, m = self.r, self.m
         c, t = self._image(C), self._shift_traces
-        h = from_power_sums([r] + [c.power_sum_p(k) for k in range(1, r + 1)], m)
+        h = from_power_sums([r] + [c.term_p(c.head, k) for k in range(1, r + 1)], m)
         g, h_at_one = _synthetic_div(h, 1, m)
         acc = g[0] * (t[1] - t[0]) + sum(
-            gj * (c.at_p(t[1:], j) - c.at_p(t[:r], j)) for j, gj in enumerate(g[1:], 1))
+            gj * (c.term_p(t[1:], j) - c.term_p(t, j)) for j, gj in enumerate(g[1:], 1))
         return (t[0] + acc * pow(h_at_one, -1, m)) % m
 
     def _bracket_trace(self, k):
@@ -346,7 +331,7 @@ class RootSums:
         Newton's identities on P_p(z), P_2p(z), .., P_rp(z), z = c/(c-1).
         """
         z = self._image(Z)
-        sums = [self.r] + [z.power_sum_p(k) for k in range(1, self.r + 1)]
+        sums = [self.r] + [z.term_p(z.head, k) for k in range(1, self.r + 1)]
         return tuple(from_power_sums(sums, self.m))
 
 

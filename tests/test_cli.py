@@ -347,6 +347,22 @@ def test_a_crash_in_a_checker_exits_3(monkeypatch, capsys):
     assert err == ["internal error: tag=rkksuk,rkk, r=2, p=11, x=2: RuntimeError: boom"]
 
 
+def test_a_package_error_in_a_task_exits_3_not_2(monkeypatch, capsys):
+    # every refusal comes before any task runs; a package error inside one is a bug
+    from rkksums import theorems
+    from rkksums.errors import DivisibilityFailure
+
+    def broken(pt):
+        raise DivisibilityFailure("L_p != 1 mod p")
+
+    monkeypatch.setattr(theorems, "check_rkksuk", broken)
+    code = cli.main(["--r", "2", "--primes", "11", "--x", "2", "--theorems", "rkksuk,rkk"])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 3
+    assert err == ["internal error: tag=rkksuk,rkk, r=2, p=11, x=2: "
+                   "DivisibilityFailure: L_p != 1 mod p"]
+
+
 def test_repeated_x_and_tags_are_merged(capsys):
     # a repeated value is one check: the report and its counts match the plain run
     assert cli.main(["--r", "2", "--primes", "7", "--x", "2,2",

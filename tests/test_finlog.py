@@ -4,6 +4,8 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
+
 from helpers import (
     bernoulli_mod_p,
     bernoulli_poly_mod_p,
@@ -168,6 +170,14 @@ def test_lucas_quotient():
     # L_p = 1 mod p for every odd prime
     for p in (7, 11, 13, 101):
         assert lucas_number_mod(p, p) == 1
+
+
+@pytest.mark.parametrize("m", [7, 49, 343, 10 ** 6, 1009 ** 2])
+def test_lucas_numbers_follow_the_integer_recurrence(m):
+    lucas = [2, 1]
+    for _ in range(400):
+        lucas.append(lucas[-1] + lucas[-2])
+    assert [lucas_number_mod(n, m) for n in range(401)] == [v % m for v in lucas[:401]]
 
 
 def test_lucas_williams_identity():

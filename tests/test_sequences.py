@@ -1,7 +1,8 @@
 """Root sums as integer sequences: the helpers against the ring, and the ring off the verdict path.
 
 RootSums takes every quantity from power sums of Moebius-image polynomials
-(kernels.image_poly, kernels.reversal) and, above theorems.SEQUENCE_BOUND,
+(kernels.image_poly, kernels.reversal) and, for the p-th terms a sequence
+does not reach (above theorems.SEQUENCE_BOUND, rkk's, and those past p),
 from jumps t^N mod chi (kernels.jump).  These tests hold the helpers to the
 element-level GaloisRing, whose arithmetic is _gfpoly's and not kernels',
 on random monic moduli that need not be squarefree, and the shortcuts the
@@ -265,8 +266,8 @@ def test_below_the_bound_these_tags_take_no_jump(monkeypatch):
     assert report() == jumped
 
 
-@pytest.mark.parametrize("r", [2, 6])
-def test_above_the_bound_mystery_and_lemma_technical_build_short_sequences(r, monkeypatch):
+def _sequence_lengths(monkeypatch):
+    """The lengths of the power-sum sequences and recurrences theorems builds from now on."""
     lengths = []
 
     def counted(poly, count, m):
@@ -280,6 +281,27 @@ def test_above_the_bound_mystery_and_lemma_technical_build_short_sequences(r, mo
     monkeypatch.setattr(theorems, "power_sums", counted)
     monkeypatch.setattr(theorems, "extend_recurrence", extended)
     theorems.root_sums.cache_clear()
-    rows = theorems.point_rows(["mystery", "lemma_technical"], r, 10_007, Fraction(2))
-    assert [row.verdict for row in rows] == ["pass"] * 3
+    return lengths
+
+
+@pytest.mark.parametrize("r", [2, 6])
+def test_above_the_bound_mystery_and_lemma_technical_build_short_sequences(r, monkeypatch):
+    # the bracket of rkkmod2 and rkkmod2_var and the z charpoly jump above the bound too
+    lengths = _sequence_lengths(monkeypatch)
+    tags = ["mystery", "lemma_technical", "rkkmod2", "rkkmod2_var", "rkksuk_z", "rkksuk_long"]
+    rows = theorems.point_rows(tags, r, 10_007, Fraction(2))
+    assert {row.verdict for row in rows} == {"pass"}
+    assert {row.theorem for row in rows} == {
+        "mystery_a", "mystery_b", "lemma_technical", "rkkmod2", "rkkmod2_var", "rkkmod2_cross",
+        "rkksuk_z", "rkksuk_z_const", "rkksuk_long"}
+    assert lengths and max(lengths) <= 2 * r, lengths
+
+
+@pytest.mark.parametrize("p", [11, 101, 10_007])
+@pytest.mark.parametrize("r", [1, 2, 6])
+def test_rkk_builds_short_sequences_on_both_sides_of_the_bound(r, p, monkeypatch):
+    # rkk's T_p takes the jump its c^(kp) terms take anyway, even below the bound
+    lengths = _sequence_lengths(monkeypatch)
+    rows = theorems.point_rows(["rkk"], r, p, Fraction(2))
+    assert [row.verdict for row in rows] == ["pass"] * min(r, 2)   # rkk_short needs r >= 2
     assert lengths and max(lengths) <= 2 * r, lengths
