@@ -194,7 +194,8 @@ def build_parser():
 
 def config_from_args(args):
     try:
-        r_values = [int(v) for v in args.r.split(",") if v.strip()]
+        # a repeated r, x or tag is one check, not two: keep the first (primes are a set)
+        r_values = list(dict.fromkeys(int(v) for v in args.r.split(",") if v.strip()))
         if any(r < 1 for r in r_values):
             raise ConfigError("r values must be positive")
         if args.x_random is not None and args.x_random < 0:
@@ -206,7 +207,6 @@ def config_from_args(args):
         config = RunConfig(
             r_values=r_values,
             primes=parse_primes(args.primes) if args.primes else [],
-            # a repeated x or tag is one check, not two: keep the first
             x_values=list(dict.fromkeys(parse_rationals(args.x))) if args.x else [],
             x_random=args.x_random,
             theorems=list(dict.fromkeys(t.strip() for t in args.theorems.split(",") if t.strip())),

@@ -4,8 +4,8 @@ For parameters (r, x) the monic root polynomial is (c-1)^r + x^-1 * c^(r-1),
 whose roots c_1..c_r carry every right-hand side in the theorems module.
 Nondegenerate x (x != 0 and r^r*x != (r-1)^(r-1) mod p) guarantees the
 polynomial is squarefree mod p, so the theorems work in its unfactored
-quotient ring.  The double-root value x0 = (r-1)^(r-1)/r^r takes a separate
-path that divides out the rational double root 1-r exactly.
+quotient ring.  At the double-root value x0 = (r-1)^(r-1)/r^r the double
+root 1-r is divided out exactly, and the cofactor's roots take its place.
 
 The factorization over F_p and its Hensel lift are not on that path: they
 are kept as the independent per-factor reference the tests compare with.
@@ -242,6 +242,7 @@ def double_root_cofactor(r, p, e):
 
     Returns (double_root mod p^e, cofactor MonicPoly); the cofactor's roots
     are simple and distinct from 1-r, and for r = 2 it is the constant 1.
+    Its value at 0, 1 and 1-r is a unit, so every theorems.RootSums sum is defined.
     """
     if r < 2:
         raise ValueError("the double-root case needs r >= 2")

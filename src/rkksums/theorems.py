@@ -6,7 +6,9 @@ computed independently: symmetric functions of all roots c of
 x(c-1)^r + c^(r-1), and special constants (finlog).  A verdict is an exact
 equality of residues.
 
-The symmetric functions (RootSums) are integer sequences mod p^e.  Each
+The symmetric functions (RootSums) are integer sequences mod p^e, over the
+roots of one monic polynomial: x's root polynomial, or at the double-root
+value x0 the cofactor left when the root 1-r is divided out.  Each
 quantity is a Newton power sum of the polynomial whose roots are a Moebius
 image of c (1-c, 1/c, 1-1/c, 1/(1-c), c/(c-1); kernels.image_poly and
 kernels.reversal), or a scalar sequence obeying such a polynomial's
@@ -58,15 +60,14 @@ from .report import FAIL, PASS, CongruenceReport, checked, skipped
 
 
 @functools.lru_cache(maxsize=512)
-def _factor_rings(r, x, p, e):
-    """The algebra of the unfactored root polynomial, as a one-ring tuple.
+def _factor_rings(f):
+    """The algebra of the monic f, unfactored, as a one-ring tuple.
 
-    f is squarefree mod p for nondegenerate x, so this one ring is the
-    product of the Galois rings of f's lifted factors: its trace is the sum
-    over all roots and its characteristic polynomial the product.  Root sums
-    never build it; it is the reference that RootSums.rings exposes.
+    f is squarefree mod p (x's root polynomial or x0's cofactor), so this
+    ring is the product of the Galois rings of f's lifted factors: its trace
+    is the sum over all roots and its characteristic polynomial the product.
+    Root sums never build it; it is the reference RootSums.rings exposes.
     """
-    f = build_root_poly(r, x, ctx_for(p, e))
     return (GaloisRing(f),)
 
 
@@ -86,10 +87,10 @@ _ONE_MINUS = {C: ONE_MINUS_C, INV_C: ONE_MINUS_INV_C, W: Z}
 # At or below this prime a p-th power sum is a term of the sequence
 # P_0..P_p, whose terms below p the polylog traces weigh anyway, and
 # P_p(1-u) is its dot product with the signed binomial row.  Above it each
-# takes one jump t^p mod chi: O(r^2 log p) products against the
-# sequence's O(r p).  For mystery's and lemma_technical's six sums the
-# sequences were the faster up to p of about 110 at r = 2, 160 at r = 4
-# and 200 at r = 6.
+# takes one jump t^p mod chi: O(n^2 log p) products against the
+# sequence's O(n p), n = deg chi.  For mystery's and lemma_technical's six
+# sums the sequences were the faster up to p of about 110 at r = 2, 160 at
+# r = 4 and 200 at r = 6.
 SEQUENCE_BOUND = 128
 
 
@@ -109,6 +110,12 @@ def _signed_binomials(p, e):
     for j in range(1, p):
         row.append(-row[-1] * (p - j + 1) * pow(j, -1, m) % m)
     return tuple(row) + (m - 1,)
+
+
+def _binomial_head(terms, n, m):
+    """Tr(v (1-u)^k) = sum_i (-1)^i C(k,i) terms[i] for k < n, from terms[i] = Tr(v u^i)."""
+    return [sum((-1) ** i * math.comb(k, i) * terms[i] for i in range(k + 1)) % m
+            for k in range(n)]
 
 
 def _shift_traces(f, r, sums, m):
@@ -158,6 +165,12 @@ class _Image:
             jumps.append(mulmod(jumps[-1], jumps[0], self.chi, self.m))
         return _dot(jumps[k - 1], terms, self.m)
 
+    def pth_power_charpoly(self):
+        """The characteristic polynomial of u^p, lowest degree first, by
+        Newton's identities on P_p(u), P_2p(u), .., P_np(u)."""
+        n = len(self.chi) - 1
+        return from_power_sums([n] + [self.term_p(self.head, k) for k in range(1, n + 1)], self.m)
+
     def power_sums(self):
         """P_0(u)..P_p(u): a polylog trace weighs the terms below p."""
         if self._sums is None:
@@ -178,43 +191,35 @@ def _polylog_trace(s, mobius):
 
 
 class RootSums:
-    """Cached root sums of (r, x) at p^e, as integer sequences.
+    """Cached sums over the roots c of a monic f of degree n over Z/p^e.
 
-    Every quantity is a power sum of the polynomial whose roots are a
-    Moebius image of the roots c of f, or a scalar sequence that obeys such
-    a polynomial's recurrence.  _terms decides how far a sequence runs, and
-    _Image.term_p takes each p-th term from it.  No ring element is built:
-    rings (for reference checks) is made only on request.
+    f is x's root polynomial (root_sums) or x0's cofactor; r is only the
+    shift in s = 1/(r-1+c).  Every quantity is a power sum of the
+    polynomial of a Moebius image of c, or a sequence that obeys its
+    recurrence: _terms decides how far a sequence runs, and _Image.term_p
+    takes each p-th term from it.  rings, the reference, is made on request.
     """
 
-    def __init__(self, r, x, p, e):
-        self.r = r
-        self.x = x
-        self.p = p
-        self.e = e
-        self.ctx = ctx_for(p, e)
-        self.m = self.ctx.modulus
+    def __init__(self, f, r):
+        self.f, self.r, self.n = f, r, f.degree
+        self.p, self.e, self.m = f.ctx.p, f.ctx.e, f.ctx.modulus
         self._images = {}
 
     @functools.cached_property
     def rings(self):
-        return _factor_rings(self.r, self.x, self.p, self.e)
+        return _factor_rings(self.f)
 
     def trace_sum(self, build):
         return sum(build(ring).trace() for ring in self.rings) % self.m
 
-    @functools.cached_property
-    def _f(self):
-        return build_root_poly(self.r, self.x, self.ctx).coeffs
-
     def _image(self, mobius):
         if mobius not in self._images:
             if mobius == C:
-                chi = self._f
+                chi = self.f.coeffs
             elif mobius in _REVERSED:
                 chi = reversal(self._image(_REVERSED[mobius]).chi, self.m)
             else:
-                chi = image_poly(self._f, mobius, self.m)
+                chi = image_poly(self.f.coeffs, mobius, self.m)
             self._images[mobius] = _Image(chi, self.p, self.m)
         return self._images[mobius]
 
@@ -228,15 +233,13 @@ class RootSums:
         """Tr(v (1-u)^p) for u = mobius(c), from terms[k] = Tr(v u^k).
 
         (1-u)^p = sum_j (-1)^j C(p,j) u^j.  When terms runs to k = p this is
-        one dot product.  Otherwise terms needs k < deg f = r only: those
-        binomial sums start the sequence Tr(v (1-u)^k), and one jump mod
-        1-u's polynomial gives its term p.
+        one dot product.  Otherwise terms needs k < n only: those binomial
+        sums start the sequence Tr(v (1-u)^k), and one jump mod 1-u's
+        polynomial gives its term p.
         """
-        p, m = self.p, self.m
-        if len(terms) > p:
-            return _dot(_signed_binomials(p, self.e), terms, m)
-        head = [sum((-1) ** i * math.comb(k, i) * terms[i] for i in range(k + 1)) % m
-                for k in range(self.r)]
+        if len(terms) > self.p:
+            return _dot(_signed_binomials(self.p, self.e), terms, self.m)
+        head = _binomial_head(terms, self.n, self.m)
         return self._image(_ONE_MINUS[mobius]).term_p(head)
 
     def _power_sum_p(self, mobius, one_minus):
@@ -246,14 +249,14 @@ class RootSums:
 
     @functools.cached_property
     def _shift_traces(self):
-        """T_0..T_r, T_k = Tr(s c^k) with s = 1/(r-1+c)."""
-        return _shift_traces(self._f, self.r, self._image(C).head, self.m)
+        """T_0..T_n, T_k = Tr(s c^k) with s = 1/(r-1+c)."""
+        return _shift_traces(self.f.coeffs, self.r, self._image(C).head, self.m)
 
     @functools.cached_property
     def _shift_bracket(self):
         """(T_0, T_p, U_p), U_p = Tr(s (1-c)^p) = sum_j (-1)^j C(p,j) T_j,
         read off T_0..T_p at or below the bound, else by one jump each."""
-        t = _shift_traces(self._f, self.r, self._terms(C)[:self.p], self.m)
+        t = _shift_traces(self.f.coeffs, self.r, self._terms(C)[:self.p], self.m)
         return t[0], self._image(C).term_p(t), self._one_minus_p(C, t)
 
     # three sequences, of c, 1/c and w, give all six p-th power sums
@@ -272,16 +275,15 @@ class RootSums:
         """Tr(pounds_1(c) w^p), w = 1/(1-c).
 
         c^j = (1 - 1/w)^j gives Tr(c^j w^p) = sum_i C(j,i) (-1)^i P_(p-i)(w)
-        for j < r; f's recurrence continues the sequence in j.
+        for j < n; f's recurrence continues the sequence in j.
         """
-        r, p, m = self.r, self.p, self.m
+        n, p, m = self.n, self.p, self.m
         w = self._image(W)
-        q = jump(w.chi, p - r + 1, m)
-        sums = extend_recurrence(w.chi, w.head, 2 * r - 2, m)
-        tail = [_dot(q, sums[j:j + r], m) for j in range(r)]   # P_(p-r+1)..P_p(w)
-        head = [sum((-1) ** i * math.comb(j, i) * tail[r - 1 - i] for i in range(j + 1)) % m
-                for j in range(r)]
-        return pounds_from_traces(1, extend_recurrence(self._f, head, p - 1, m), p, self.e)
+        q = jump(w.chi, p - n + 1, m)
+        sums = extend_recurrence(w.chi, w.head, 2 * n - 2, m)
+        tail = [_dot(q, sums[j:j + n], m) for j in range(n)]   # P_(p-n+1)..P_p(w)
+        head = _binomial_head(tail[::-1], n, m)
+        return pounds_from_traces(1, extend_recurrence(self.f.coeffs, head, p - 1, m), p, self.e)
 
     @functools.cached_property
     def sum_rkk_long(self):
@@ -296,12 +298,10 @@ class RootSums:
         With h the characteristic polynomial of c^p and
         g(t) = (h(t) - h(1))/(t - 1), 1/(1 - c^p) = g(c^p)/h(1), so the
         second term is h(1)^-1 sum_j g_j (T_(jp+1) - T_(jp)).  h(1) is a
-        unit: mod p it is prod (1 - c_i)^p = f(1)^p = x^-p.
+        unit: mod p it is prod (1 - c_i)^p = f(1)^p (x^-p for x's f).
         """
-        r, m = self.r, self.m
-        c, t = self._image(C), self._shift_traces
-        h = from_power_sums([r] + [c.term_p(c.head, k) for k in range(1, r + 1)], m)
-        g, h_at_one = _synthetic_div(h, 1, m)
+        c, t, m = self._image(C), self._shift_traces, self.m
+        g, h_at_one = _synthetic_div(c.pth_power_charpoly(), 1, m)
         acc = g[0] * (t[1] - t[0]) + sum(
             gj * (c.term_p(t[1:], j) - c.term_p(t, j)) for j, gj in enumerate(g[1:], 1))
         return (t[0] + acc * pow(h_at_one, -1, m)) % m
@@ -316,7 +316,7 @@ class RootSums:
     def sum_mod2_full(self):
         """Tr((c-1) s (r - (r-1) c^p - r (1-c)^p)), with (c-1) s = 1 - r s."""
         r = self.r
-        plain = r * r - (r - 1) * self.sum_c_pow_p - r * self.sum_one_minus_c_pow_p
+        plain = r * self.n - (r - 1) * self.sum_c_pow_p - r * self.sum_one_minus_c_pow_p
         return (plain - r * self._bracket_trace(r)) % self.m
 
     @functools.cached_property
@@ -328,11 +328,9 @@ class RootSums:
     def z_inverse_pow_p_charpoly(self):
         """Coefficients of prod_i (T - (c_i/(c_i-1))^p), lowest degree first.
 
-        Newton's identities on P_p(z), P_2p(z), .., P_rp(z), z = c/(c-1).
+        z = c/(c-1); _Image.pth_power_charpoly.
         """
-        z = self._image(Z)
-        sums = [self.r] + [z.term_p(z.head, k) for k in range(1, self.r + 1)]
-        return tuple(from_power_sums(sums, self.m))
+        return tuple(self._image(Z).pth_power_charpoly())
 
 
 # The grid walk asks for one key per point (one precision per point), and
@@ -340,7 +338,7 @@ class RootSums:
 # would only hold finished points' sequences in memory.
 @functools.lru_cache(maxsize=2)
 def root_sums(r, x, p, e):
-    return RootSums(r, x, p, e)
+    return RootSums(build_root_poly(r, x, ctx_for(p, e)), r)
 
 
 @dataclass(frozen=True)
@@ -567,19 +565,6 @@ def check_rkkmod2_var(pt):
     ]
 
 
-def _cofactor_trace(cofactor, r):
-    """Tr(q * (c^p + r p pounds_1(c))), q = (c-1)/(r-1+c), over the roots c of cofactor.
-
-    cofactor is a MonicPoly of degree >= 1.  Tr(q c^k) = P_k(c) - r T_k,
-    since q = 1 - r s with s = 1/(r-1+c).
-    """
-    g, ctx = cofactor.coeffs, cofactor.ctx
-    p, m = ctx.p, ctx.modulus
-    sums = power_sums(g, p, m)
-    q = [(pk - r * tk) % m for pk, tk in zip(sums, _shift_traces(g, r, sums[:p], m))]
-    return (q[p] + r * p * pounds_from_traces(1, q, p, ctx.e)) % m
-
-
 def check_rkkmod2_multiple(r, p):
     """The double-root evaluation x0 = (r-1)^(r-1)/r^r mod p^2."""
     x0 = x0_value(r)
@@ -594,7 +579,9 @@ def check_rkkmod2_multiple(r, p):
     tail = p * r * (r - 2) * pow(r - 1, -1, m2) * l1_at_root
     head = ((r - 2 + 3 * p * r) * pow(r - 1, p - 1, m2) - tail) % m2
     term1 = 2 * pt.xp(2) * pow(3, -1, m2) * head
-    term2 = pt.xp(2) * _cofactor_trace(cofactor, r) if cofactor.degree else 0
+    # Tr((c-1) s (c^p + r p pounds_1(c))) over the cofactor's roots is its
+    # sum_mod2_full: p pounds_1(c) = 1 - c^p - (1-c)^p mod p^2
+    term2 = pt.xp(2) * RootSums(cofactor, r).sum_mod2_full if cofactor.degree else 0
     return [pt.report("rkkmod2_multiple", 2, lhs, term1 - term2)]
 
 

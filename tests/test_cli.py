@@ -365,7 +365,7 @@ def test_a_package_error_in_a_task_exits_3_not_2(monkeypatch, capsys):
 
 def test_repeated_x_and_tags_are_merged(capsys):
     # a repeated value is one check: the report and its counts match the plain run
-    assert cli.main(["--r", "2", "--primes", "7", "--x", "2,2",
+    assert cli.main(["--r", "2,2", "--primes", "7,7", "--x", "2,2",
                      "--theorems", "rkksuk,rkksuk"]) == 0
     repeated = capsys.readouterr()
     assert cli.main(["--r", "2", "--primes", "7", "--x", "2", "--theorems", "rkksuk"]) == 0

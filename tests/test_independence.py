@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 from rkksums import binomsums, theorems
+from rkksums.modring import ctx_for
 
 SRC = pathlib.Path(theorems.__file__).parent
 RHS_MODULES = ("modring", "finlog", "polyfactor", "kernels", "_gfpoly")
@@ -67,8 +68,12 @@ def test_root_sums_never_read_the_binomial_tables(monkeypatch, e):
     attributes.append("z_inverse_pow_p_charpoly")
     for r, x, p in [(1, 3, 5), (2, 3, 7), (3, Fraction(-1, 3), 11), (4, 5, 13),
                     (5, Fraction(2, 7), 17)]:
-        rs = theorems.RootSums(r, Fraction(x), p, e)  # fresh: nothing cached
+        # fresh: nothing cached
+        rs = theorems.RootSums(theorems.build_root_poly(r, Fraction(x), ctx_for(p, e)), r)
         for name in attributes:
             assert isinstance(getattr(rs, name), (int, tuple)), (r, x, p, name)
-    _, cofactor = theorems.double_root_cofactor(3, 11, e)
-    assert isinstance(theorems._cofactor_trace(cofactor, 3), int)
+    # x0's cofactor takes the same RootSums
+    for r, p in [(3, 11), (5, 13)]:
+        rs = theorems.RootSums(theorems.double_root_cofactor(r, p, e)[1], r)
+        for name in attributes:
+            assert isinstance(getattr(rs, name), (int, tuple)), (r, p, name)

@@ -25,8 +25,8 @@ from rkksums import cli, kernels, theorems
 from rkksums.errors import NonUnitDenominator, NotAUnit
 from rkksums.kernels import (
     extend_recurrence, from_power_sums, image_poly, jump, pole_trace, power_sums, reversal)
-from rkksums.modring import GaloisRing, ModulusCtx, MonicPoly
-from rkksums.polyfactor import Degeneracy, classify_x, x0_value
+from rkksums.modring import GaloisRing, ModulusCtx, MonicPoly, ctx_for
+from rkksums.polyfactor import Degeneracy, build_root_poly, classify_x, x0_value
 from rkksums.primes import odd_primes_in
 from rkksums.report import emit_report
 
@@ -164,15 +164,20 @@ def nondegenerate_points(draw):
     return r, x, p
 
 
+def fresh_root_sums(r, x, p, e):
+    """RootSums of x's root polynomial, built anew: nothing cached."""
+    return theorems.RootSums(build_root_poly(r, x, ctx_for(p, e)), r)
+
+
 @settings(max_examples=60, deadline=None)
 @given(nondegenerate_points())
 def test_every_root_sum_a_checker_reads_commutes_with_reduction(point):
     # a Point reads its root sums at the highest precision of its tags, so a
     # checker at a lower precision reads them reduced
     r, x, p = point
-    high = theorems.RootSums(r, x, p, 3)
+    high = fresh_root_sums(r, x, p, 3)
     for e in (1, 2):
-        low, m = theorems.RootSums(r, x, p, e), p ** e
+        low, m = fresh_root_sums(r, x, p, e), p ** e
         for name in READ_BY_CHECKERS:
             value = getattr(high, name)
             reduced = tuple(v % m for v in value) if isinstance(value, tuple) else value % m
@@ -231,7 +236,7 @@ def test_both_sides_of_the_sequence_bound_agree(point, e):
     for bound in (p - 1, p):    # every p-th term by a jump, then by a sequence
         theorems.SEQUENCE_BOUND, saved = bound, theorems.SEQUENCE_BOUND
         try:
-            rs = theorems.RootSums(r, x, p, e)
+            rs = fresh_root_sums(r, x, p, e)
             values[bound] = {name: getattr(rs, name) for name in READ_BY_CHECKERS}
         finally:
             theorems.SEQUENCE_BOUND = saved

@@ -14,7 +14,7 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import forbid_every_function, ring_pounds
@@ -163,7 +163,7 @@ def test_root_sums_match_per_factor_reference_on_non_split_instances(e):
     assert (3, Fraction(2), 7) in cases and len(cases) > 40
     for r, x, p in cases:
         m = p ** e
-        rs = T.RootSums(r, x, p, e)
+        rs = T.RootSums(build_root_poly(r, x, ModulusCtx(p, e)), r)   # fresh: nothing cached
         rings = factor_rings(r, x, p, e)
         for name, build in AGGREGATES.items():
             try:
@@ -182,8 +182,45 @@ def test_root_sums_match_per_factor_reference_on_non_split_instances(e):
         assert rs.z_inverse_pow_p_charpoly == product.coeffs, (r, x, p, e)
 
 
+@st.composite
+def shifted_moduli(draw):
+    """(f, r): a random monic f of degree 1..6, reducible ones included, and
+    a shift r in 1..9, with f(0), f(1) and f(1-r) units mod p, so that every
+    root sum is defined: c, 1-c and r-1+c are units."""
+    p = draw(st.sampled_from([7, 11, 13, 31]))
+    ctx = ModulusCtx(p, draw(st.integers(1, 3)))
+    r, n = draw(st.integers(1, 9)), draw(st.integers(1, 6))
+    residue = st.integers(0, ctx.modulus - 1)
+    f = MonicPoly(tuple(draw(st.lists(residue, min_size=n, max_size=n))) + (1,), ctx)
+    assume(all(f.evaluate(v) % p for v in (0, 1, 1 - r)))
+    return f, r
+
+
+@settings(max_examples=80, deadline=None)
+@given(shifted_moduli(), st.sampled_from([0, 1000]))
+def test_root_sums_of_any_monic_polynomial_match_its_ring(modulus, bound):
+    # RootSums reads only f and the shift r: the degree is f's, not r, and
+    # both sides of the sequence bound give the ring's traces
+    f, r = modulus
+    p, m = f.ctx.p, f.ctx.modulus
+    R = GaloisRing(f)
+    c = R.gen()
+    T.SEQUENCE_BOUND, saved = bound, T.SEQUENCE_BOUND
+    try:
+        rs = T.RootSums(f, r)
+        for name, build in AGGREGATES.items():
+            assert getattr(rs, name) == int(build(R, c, r, p).trace()) % m, (name, f, r, bound)
+        z_p = (c * (c - R.one()).inverse()) ** p
+        assert rs.z_inverse_pow_p_charpoly == R.charpoly(z_p).coeffs, (f, r, bound)
+    finally:
+        T.SEQUENCE_BOUND = saved
+
+
 @pytest.mark.parametrize("e", [1, 2, 3])
 def test_double_root_cofactor_trace_matches_per_factor_reference(e):
+    # x0's check reads Tr((c-1) s bracket) over the cofactor's roots c, the
+    # rkkmod2 bracket r - (r-1) c^p - r (1-c)^p; mod p^2 it is
+    # Tr((c-1) s (c^p + r p pounds_1(c))), as p pounds_1(c) = 1 - c^p - (1-c)^p
     non_split = 0
     for r in (3, 4, 5, 6):
         for p in odd_primes_in(r + 1, 60):
@@ -194,13 +231,15 @@ def test_double_root_cofactor_trace_matches_per_factor_reference(e):
             root_ref, factors = split_double_root(r, p, e)
             assert root == root_ref
             assert functools.reduce(operator.mul, factors.factors).coeffs == cofactor.coeffs
-            expected = 0
+            expected = polylog_form = 0
             for f in factors.factors:
                 R = GaloisRing(f)
                 c = R.gen()
+                expected += int(AGGREGATES["sum_mod2_full"](R, c, r, p).trace())
                 q = (c - R.one()) * (R.scalar(r - 1) + c).inverse()
-                expected += int((q * (c ** p + r * p * ring_pounds(1, c))).trace())
-            got = T._cofactor_trace(cofactor, r)
-            assert got == expected % m, (r, p, e)
+                polylog_form += int((q * (c ** p + r * p * ring_pounds(1, c))).trace())
+            assert T.RootSums(cofactor, r).sum_mod2_full == expected % m, (r, p, e)
+            if e <= 2:
+                assert (expected - polylog_form) % m == 0, (r, p, e)
             non_split += any(f.degree > 1 for f in factors.factors)
     assert non_split > 20

@@ -18,6 +18,7 @@ import sys
 PER_POINT = ("rkksuk,rkksuk_short,rkk,rkksuk_z,rkksuk_long,lemma_technical,mystery,"
              "rkksukk,rkksukmod2,rkkmod2,rkkmod2_var")
 R_1_TO_6 = ("--r", "1,2,3,4,5,6")
+R_2_TO_10 = ("--r", "2,3,4,5,6,7,8,9,10")
 
 # name -> CLI arguments
 SWEEPS = {
@@ -34,6 +35,11 @@ SWEEPS = {
     "numerics_1009_1447": ("--theorems", "numerics", "--primes", "1009,1447", "--format", "csv"),
     "fe_r3_beta_central_pol": ("--theorems", "fe,r3_beta,central_pol", "--r", "2,3",
                                "--primes", "5..300", "--x-random", "4", "--format", "csv"),
+    # x0's cofactor, on both sides of the bound
+    "multiple_5_400": ("--theorems", "rkkmod2_multiple", *R_2_TO_10, "--primes", "5..400",
+                       "--format", "csv"),
+    "multiple_10000_10100": ("--theorems", "rkkmod2_multiple", *R_2_TO_10,
+                             "--primes", "10000..10100", "--format", "csv"),
 }
 
 
