@@ -68,13 +68,14 @@ def power_sums(poly, count, m):
 def extend_recurrence(poly, head, count, m):
     """t_0..t_count of t_k = -sum_i a_i t_(k-n+i), n = deg(poly), mod m.
 
-    head holds t_0..t_(n-1).  Every Tr(v u^k) obeys this recurrence when
-    poly is u's characteristic polynomial (Cayley-Hamilton).
+    head holds at least n terms, t_0 onwards, and the rest are continued
+    from its end.  Every Tr(v u^k) obeys this recurrence when poly is u's
+    characteristic polynomial (Cayley-Hamilton).
     """
     n = len(poly) - 1
     step = [-a % m for a in poly[:n]]
     t = list(head)
-    for k in range(n, count + 1):
+    for k in range(len(head), count + 1):
         t.append(sum(map(operator.mul, step, t[k - n:k])) % m)
     return t[:count + 1]
 

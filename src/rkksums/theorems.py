@@ -12,14 +12,16 @@ value x0 the cofactor left when the root 1-r is divided out.  Each
 quantity is a Newton power sum of the polynomial whose roots are a Moebius
 image of c (1-c, 1/c, 1-1/c, 1/(1-c), c/(c-1); kernels.image_poly and
 kernels.reversal), or a scalar sequence obeying such a polynomial's
-recurrence, such as Tr(s c^k) with s = 1/(r-1+c).  _Image.term_p reads a
-p-th term off a sequence that reaches it, and otherwise takes one jump
-t^(kp) mod the polynomial (kernels.jump).  RootSums._terms alone reads
-SEQUENCE_BOUND: at or below it a sequence runs to P_p, and P_p(1-u) is one
-dot product with it; above it a sequence is its head.  rkk's T_p and the
-terms past p jump at every prime.  No ring element is built on this path;
-GaloisRing and the factoring in polyfactor, which run on _gfpoly's
-arithmetic and not on kernels, are the reference the tests compare with.
+recurrence, such as T_k = Tr(s c^k) with s = 1/(r-1+c).  Each image keeps
+one list of its P_k (_Image.sums), and RootSums one of the T_k
+(_shift_traces): a reader asks for a length, and the list is continued by
+the recurrence, never rebuilt.  _Image.term_p reads a p-th term off a
+sequence that reaches it, else takes one jump t^(kp) mod the polynomial
+(kernels.jump).  RootSums._terms alone reads SEQUENCE_BOUND: at or below it
+a sequence runs to P_p, and P_p(1-u) is one dot product with it; above it a
+sequence is its head.  rkk's T_p and the terms past p jump at every prime.
+No ring element is built on this path: GaloisRing and polyfactor's
+factoring, on _gfpoly's arithmetic and not kernels', are the tests' reference.
 
 FAMILIES has one row per CLI tag: the grid it walks, its precision, its
 scope, its skip-row ids and the function computing its rows.  _skip_rows
@@ -101,15 +103,8 @@ def _dot(q, terms, m):
 # one prime's rows (e <= 3): the sweep walks prime by prime
 @functools.lru_cache(maxsize=3)
 def _signed_binomials(p, e):
-    """(-1)^j C(p,j) mod p^e for j = 0..p, built multiplicatively.
-
-    B_j = -B_(j-1) (p-j+1)/j, and j is a unit for 0 < j < p; B_p = -1.
-    """
-    m = p ** e
-    row = [1]
-    for j in range(1, p):
-        row.append(-row[-1] * (p - j + 1) * pow(j, -1, m) % m)
-    return tuple(row) + (m - 1,)
+    """(-1)^j C(p,j) mod p^e for j = 0..p; read only at or below SEQUENCE_BOUND."""
+    return tuple((-1) ** j * math.comb(p, j) % p ** e for j in range(p + 1))
 
 
 def _binomial_head(terms, n, m):
@@ -118,41 +113,28 @@ def _binomial_head(terms, n, m):
             for k in range(n)]
 
 
-def _shift_traces(f, r, sums, m):
-    """T_0..T_len(sums), T_k = Tr(s c^k) over the roots c of f, s = 1/(r-1+c).
-
-    T_0 = Tr(s) = -f'(1-r)/f(1-r) (kernels.pole_trace), and
-    s c^(k+1) = c^k - (r-1) s c^k gives T_(k+1) = P_k(c) - (r-1) T_k from
-    sums = P_0(c), P_1(c), ...
-    """
-    t = [pole_trace(f, 1 - r, m)]
-    for pk in sums:
-        t.append((pk - (r - 1) * t[-1]) % m)
-    return t
-
-
 class _Image:
     """The images u of all roots of one polynomial under one Moebius map.
 
     chi is their monic polynomial, so the power sums P_k(u) = Tr(u^k) obey
     its recurrence, and so does Tr(v u^k) for any fixed v: term_p reads term
     k p of such a sequence off it, or dots it with the jump t^(k p) mod chi.
+    sums keeps one list of the P_k(u) and continues it when asked past its end.
     """
 
-    __slots__ = ("chi", "p", "m", "_head", "_jumps", "_sums")
+    __slots__ = ("chi", "p", "m", "_jumps", "_sums")
 
     def __init__(self, chi, p, m):
         self.chi, self.p, self.m = chi, p, m
-        self._head = self._sums = None
-        self._jumps = []
+        self._sums, self._jumps = None, []
 
-    @property
-    def head(self):
-        """P_0(u)..P_(n-1)(u)."""
-        if self._head is None:
-            n = len(self.chi) - 1
-            self._head = tuple(self._sums[:n] if self._sums else power_sums(self.chi, n - 1, self.m))
-        return self._head
+    def sums(self, count):
+        """P_0(u)..P_count(u): a slice of one list, which holds n terms at least."""
+        if self._sums is None:
+            self._sums = power_sums(self.chi, max(count, len(self.chi) - 2), self.m)
+        elif len(self._sums) <= count:
+            self._sums = extend_recurrence(self.chi, self._sums, count, self.m)
+        return self._sums[:count + 1]
 
     def term_p(self, terms, k=1):
         """Term k p of the sequence that starts with terms (at least n of them)."""
@@ -169,13 +151,8 @@ class _Image:
         """The characteristic polynomial of u^p, lowest degree first, by
         Newton's identities on P_p(u), P_2p(u), .., P_np(u)."""
         n = len(self.chi) - 1
-        return from_power_sums([n] + [self.term_p(self.head, k) for k in range(1, n + 1)], self.m)
-
-    def power_sums(self):
-        """P_0(u)..P_p(u): a polylog trace weighs the terms below p."""
-        if self._sums is None:
-            self._sums = power_sums(self.chi, self.p, self.m)
-        return self._sums
+        head = self.sums(n - 1)
+        return from_power_sums([n] + [self.term_p(head, k) for k in range(1, n + 1)], self.m)
 
 
 def _pth_power_sum(mobius, one_minus=False):
@@ -187,7 +164,7 @@ def _pth_power_sum(mobius, one_minus=False):
 def _polylog_trace(s, mobius):
     """A cached RootSums attribute: Tr(pounds_s(u)) = sum_(k<p) k^-s P_k(u)."""
     return functools.cached_property(lambda rs: pounds_from_traces(
-        s, rs._image(mobius).power_sums(), rs.p, rs.e))
+        s, rs._image(mobius).sums(rs.p), rs.p, rs.e))
 
 
 class RootSums:
@@ -196,7 +173,8 @@ class RootSums:
     f is x's root polynomial (root_sums) or x0's cofactor; r is only the
     shift in s = 1/(r-1+c).  Every quantity is a power sum of the
     polynomial of a Moebius image of c, or a sequence that obeys its
-    recurrence: _terms decides how far a sequence runs, and _Image.term_p
+    recurrence, kept as one list and extended when read further (_Image.sums,
+    _shift_traces).  _terms decides how far a sequence runs, and _Image.term_p
     takes each p-th term from it.  rings, the reference, is made on request.
     """
 
@@ -204,6 +182,7 @@ class RootSums:
         self.f, self.r, self.n = f, r, f.degree
         self.p, self.e, self.m = f.ctx.p, f.ctx.e, f.ctx.modulus
         self._images = {}
+        self._traces = []
 
     @functools.cached_property
     def rings(self):
@@ -226,8 +205,7 @@ class RootSums:
     def _terms(self, mobius):
         """P_0(u).. for u = mobius(c): to P_p at or below the bound, else the
         head P_0..P_(n-1), which term_p continues by a jump."""
-        image = self._image(mobius)
-        return image.power_sums() if self.p <= SEQUENCE_BOUND else image.head
+        return self._image(mobius).sums(self.p if self.p <= SEQUENCE_BOUND else self.n - 1)
 
     def _one_minus_p(self, mobius, terms):
         """Tr(v (1-u)^p) for u = mobius(c), from terms[k] = Tr(v u^k).
@@ -247,16 +225,24 @@ class RootSums:
         terms = self._terms(mobius)
         return self._one_minus_p(mobius, terms) if one_minus else self._image(mobius).term_p(terms)
 
-    @functools.cached_property
-    def _shift_traces(self):
-        """T_0..T_n, T_k = Tr(s c^k) with s = 1/(r-1+c)."""
-        return _shift_traces(self.f.coeffs, self.r, self._image(C).head, self.m)
+    def _shift_traces(self, count):
+        """T_0..T_count, T_k = Tr(s c^k) with s = 1/(r-1+c): one list, kept and extended.
+
+        T_0 = Tr(s) = -f'(1-r)/f(1-r) (kernels.pole_trace), and
+        s c^(k+1) = c^k - (r-1) s c^k gives T_(k+1) = P_k(c) - (r-1) T_k.
+        """
+        t = self._traces
+        if not t:
+            t.append(pole_trace(self.f.coeffs, 1 - self.r, self.m))
+        for pk in self._image(C).sums(count - 1)[len(t) - 1:]:
+            t.append((pk - (self.r - 1) * t[-1]) % self.m)
+        return t[:count + 1]
 
     @functools.cached_property
     def _shift_bracket(self):
         """(T_0, T_p, U_p), U_p = Tr(s (1-c)^p) = sum_j (-1)^j C(p,j) T_j,
         read off T_0..T_p at or below the bound, else by one jump each."""
-        t = _shift_traces(self.f.coeffs, self.r, self._terms(C)[:self.p], self.m)
+        t = self._shift_traces(min(len(self._terms(C)), self.p))
         return t[0], self._image(C).term_p(t), self._one_minus_p(C, t)
 
     # three sequences, of c, 1/c and w, give all six p-th power sums
@@ -280,7 +266,7 @@ class RootSums:
         n, p, m = self.n, self.p, self.m
         w = self._image(W)
         q = jump(w.chi, p - n + 1, m)
-        sums = extend_recurrence(w.chi, w.head, 2 * n - 2, m)
+        sums = w.sums(2 * n - 2)
         tail = [_dot(q, sums[j:j + n], m) for j in range(n)]   # P_(p-n+1)..P_p(w)
         head = _binomial_head(tail[::-1], n, m)
         return pounds_from_traces(1, extend_recurrence(self.f.coeffs, head, p - 1, m), p, self.e)
@@ -288,7 +274,7 @@ class RootSums:
     @functools.cached_property
     def sum_rkk_long(self):
         """Tr((c - c^p) s) = T_1 - T_p."""
-        t = self._shift_traces
+        t = self._shift_traces(self.n)
         return (t[1] - self._image(C).term_p(t)) % self.m
 
     @functools.cached_property
@@ -300,7 +286,7 @@ class RootSums:
         second term is h(1)^-1 sum_j g_j (T_(jp+1) - T_(jp)).  h(1) is a
         unit: mod p it is prod (1 - c_i)^p = f(1)^p (x^-p for x's f).
         """
-        c, t, m = self._image(C), self._shift_traces, self.m
+        c, t, m = self._image(C), self._shift_traces(self.n), self.m
         g, h_at_one = _synthetic_div(c.pth_power_charpoly(), 1, m)
         acc = g[0] * (t[1] - t[0]) + sum(
             gj * (c.term_p(t[1:], j) - c.term_p(t, j)) for j, gj in enumerate(g[1:], 1))
@@ -525,7 +511,6 @@ def check_rkksukk(pt):
     bracket = (-1 + pt.xp(3) * terms) % p ** 3
     cert = pt.report("rkksukk_cert", 2, bracket % (p * p), 0)
     if cert.verdict == FAIL:
-        cert.reason = "DivisibilityFailure"
         return [cert, pt.skip("rkksukk", 1, "DivisibilityFailure")]
     rhs = bracket // (p * p) + r * pt.xp(1) * rs.sum_pounds2_one_minus_c
     return [cert, pt.report("rkksukk", 1, pt.lhs(2, full_range(p), 1), rhs)]
@@ -538,7 +523,6 @@ def check_rkksukmod2(pt):
     bracket = (2 - pt.xp(3) * terms) % p ** 3
     cert = pt.report("rkksukmod2_cert", 1, bracket % p, 0)
     if cert.verdict == FAIL:
-        cert.reason = "DivisibilityFailure"
         return [cert, pt.skip("rkksukmod2", 2, "DivisibilityFailure")]
     delta = (rs.sum_pounds2_c - rs.sum_pounds2_one_minus_c) % p
     rhs = bracket // p + p * (r * pt.xp(1) * delta % p)
@@ -573,10 +557,10 @@ def check_rkkmod2_multiple(r, p):
         return skip
     pt = Point(r, x0, p, 2)
     m2 = p * p
-    double_root, cofactor = double_root_cofactor(r, p, 2)
+    _, cofactor = double_root_cofactor(r, p, 2)
     lhs = pt.lhs(0, full_range(p, include_zero=True), 2)
-    l1_at_root = pounds(1, double_root, ctx_for(p, 2))
-    tail = p * r * (r - 2) * pow(r - 1, -1, m2) * l1_at_root
+    # p pounds_1(t) = 1 - t^p - (1-t)^p mod p^2 at the double root t = 1-r
+    tail = r * (r - 2) * pow(r - 1, -1, m2) * (1 - pow(1 - r, p, m2) - pow(r, p, m2))
     head = ((r - 2 + 3 * p * r) * pow(r - 1, p - 1, m2) - tail) % m2
     term1 = 2 * pt.xp(2) * pow(3, -1, m2) * head
     # Tr((c-1) s (c^p + r p pounds_1(c))) over the cofactor's roots is its

@@ -548,7 +548,7 @@ def test_the_walk_reads_each_prime_once(monkeypatch):
 
     asked = {}  # name -> (the cache, the keys asked of it in order)
     for owner, name in ((binomsums, "binom_table"), (binomsums, "inverse_table"),
-                        (finlog, "_weights")):
+                        (finlog, "_weights"), (theorems, "_signed_binomials")):
         cache, keys = getattr(owner, name), []
         cache.cache_clear()
         asked[name] = cache, keys

@@ -9,8 +9,9 @@ on random monic moduli that need not be squarefree, and the shortcuts the
 sequences take (P_p(1-u) from P_0(u)..P_p(u), reversals, Tr(1/(u-y)) from
 chi'/chi) to the image polynomials they replace.  They check that a sweep
 never builds a ring element, nor one image's power sums twice, that both
-sides of the bound agree, and that every root sum a checker reads reduces
-from p^3 to the value computed at p or p^2.
+sides of the bound agree, that the root sums do not depend on the order
+they are read in, and that every root sum a checker reads reduces from p^3
+to the value computed at p or p^2.
 """
 
 import operator
@@ -76,6 +77,17 @@ def test_jump_gives_the_terms_of_the_recurrence(modulus, data):
     q = jump(chi, count, m)
     for j in range(n):
         assert sum(map(operator.mul, q, seq[j:j + n])) % m == seq[count + j]
+
+
+@settings(max_examples=150, deadline=None)
+@given(monic_moduli(), st.data())
+def test_extend_recurrence_continues_any_head_of_at_least_n_terms(modulus, data):
+    ctx, chi = modulus
+    m, n = ctx.modulus, len(chi) - 1
+    head = data.draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+    seq = extend_recurrence(chi, head, 4 * n + 4, m)
+    j, count = data.draw(st.integers(0, 2 * n + 2)), data.draw(st.integers(0, 4 * n + 4))
+    assert extend_recurrence(chi, seq[:n + j], count, m) == seq[:count + 1]
 
 
 @settings(max_examples=80, deadline=None)
@@ -182,6 +194,31 @@ def test_every_root_sum_a_checker_reads_commutes_with_reduction(point):
             value = getattr(high, name)
             reduced = tuple(v % m for v in value) if isinstance(value, tuple) else value % m
             assert reduced == getattr(low, name), (name, r, x, p, e)
+
+
+@st.composite
+def shifted_monic_moduli(draw):
+    """(f, r): a random monic f (monic_moduli) and a shift r in 1..9, with
+    f(0), f(1) and f(1-r) units mod p, so that every root sum is defined."""
+    ctx, coeffs = draw(monic_moduli())
+    f, r = MonicPoly(coeffs, ctx), draw(st.integers(1, 9))
+    assume(all(f.evaluate(v) % ctx.p for v in (0, 1, 1 - r)))
+    return f, r
+
+
+@settings(max_examples=80, deadline=None)
+@given(shifted_monic_moduli(), st.permutations(READ_BY_CHECKERS), st.sampled_from([0, 1000]))
+def test_root_sums_read_in_any_order_are_the_same(modulus, order, bound):
+    # each sequence is one list, extended by whichever reader first asks
+    # further, so a reader must find the same terms whatever ran before it
+    f, r = modulus
+    theorems.SEQUENCE_BOUND, saved = bound, theorems.SEQUENCE_BOUND
+    try:
+        drawn, ordered = theorems.RootSums(f, r), theorems.RootSums(f, r)
+        values = {name: getattr(drawn, name) for name in order}
+        assert values == {name: getattr(ordered, name) for name in READ_BY_CHECKERS}, (f, r, bound)
+    finally:
+        theorems.SEQUENCE_BOUND = saved
 
 
 def _raises_or_value(fn, *args):

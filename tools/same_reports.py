@@ -35,6 +35,10 @@ SWEEPS = {
     "numerics_1009_1447": ("--theorems", "numerics", "--primes", "1009,1447", "--format", "csv"),
     "fe_r3_beta_central_pol": ("--theorems", "fe,r3_beta,central_pol", "--r", "2,3",
                                "--primes", "5..300", "--x-random", "4", "--format", "csv"),
+    # every per-point tag reads one Point below the bound, so each sequence is
+    # extended in the order the tags run
+    "shared_5_127": ("--theorems", PER_POINT, *R_1_TO_6, "--primes", "5..127",
+                     "--x", "2,-1/3,5/7,-4", "--format", "csv"),
     # x0's cofactor, on both sides of the bound
     "multiple_5_400": ("--theorems", "rkkmod2_multiple", *R_2_TO_10, "--primes", "5..400",
                        "--format", "csv"),
