@@ -8,18 +8,19 @@ equality of residues.
 
 The symmetric functions (RootSums) are integer sequences mod p^e, over the
 roots of one monic polynomial: x's root polynomial, or at the double-root
-value x0 the cofactor left when the root 1-r is divided out.  Each
-quantity is a Newton power sum of the polynomial whose roots are a Moebius
-image of c (1-c, 1/c, 1-1/c, 1/(1-c), c/(c-1); kernels.image_poly and
-kernels.reversal), or a scalar sequence obeying such a polynomial's
-recurrence, such as T_k = Tr(s c^k) with s = 1/(r-1+c).  Each image keeps
-one list of its P_k (_Image.sums), and RootSums one of the T_k
-(_shift_traces): a reader asks for a length, and the list is continued by
-the recurrence, never rebuilt.  _Image.term_p reads a p-th term off a
+value x0 the cofactor left when the root 1-r is divided out.  Each quantity
+is a Newton power sum P_k(u) of the polynomial of a Moebius image u of c
+(1-c, 1/c, 1-1/c, 1/(1-c), c/(c-1); kernels.image_poly, kernels.reversal),
+a polylog trace Tr pounds_s(u) = sum_(k<p) k^-s P_k(u), or a sequence
+obeying such a recurrence, such as T_k = Tr(s c^k) with s = 1/(r-1+c).
+Each image keeps one list of its P_k (_Image.sums), and RootSums one of the
+T_k (_shift_traces): a reader asks for a length, and the list is continued
+by the recurrence, never rebuilt.  _Image.term_p reads a p-th term off a
 sequence that reaches it, else takes one jump t^(kp) mod the polynomial
 (kernels.jump).  RootSums._terms alone reads SEQUENCE_BOUND: at or below it
 a sequence runs to P_p, and P_p(1-u) is one dot product with it; above it a
-sequence is its head.  rkk's T_p and the terms past p jump at every prime.
+sequence is its head.  rkk's T_p and the terms past p jump at every prime;
+a polylog trace never does.
 No ring element is built on this path: GaloisRing and polyfactor's
 factoring, on _gfpoly's arithmetic and not kernels', are the tests' reference.
 
@@ -107,12 +108,6 @@ def _signed_binomials(p, e):
     return tuple((-1) ** j * math.comb(p, j) % p ** e for j in range(p + 1))
 
 
-def _binomial_head(terms, n, m):
-    """Tr(v (1-u)^k) = sum_i (-1)^i C(k,i) terms[i] for k < n, from terms[i] = Tr(v u^i)."""
-    return [sum((-1) ** i * math.comb(k, i) * terms[i] for i in range(k + 1)) % m
-            for k in range(n)]
-
-
 class _Image:
     """The images u of all roots of one polynomial under one Moebius map.
 
@@ -171,8 +166,8 @@ class RootSums:
     """Cached sums over the roots c of a monic f of degree n over Z/p^e.
 
     f is x's root polynomial (root_sums) or x0's cofactor; r is only the
-    shift in s = 1/(r-1+c).  Every quantity is a power sum of the
-    polynomial of a Moebius image of c, or a sequence that obeys its
+    shift in s = 1/(r-1+c).  Every quantity is a power sum or polylog trace
+    Tr pounds_s(u) of a Moebius image u of c, or a sequence obeying u's
     recurrence, kept as one list and extended when read further (_Image.sums,
     _shift_traces).  _terms decides how far a sequence runs, and _Image.term_p
     takes each p-th term from it.  rings, the reference, is made on request.
@@ -217,7 +212,8 @@ class RootSums:
         """
         if len(terms) > self.p:
             return _dot(_signed_binomials(self.p, self.e), terms, self.m)
-        head = _binomial_head(terms, self.n, self.m)
+        head = [sum((-1) ** i * math.comb(k, i) * terms[i] for i in range(k + 1)) % self.m
+                for k in range(self.n)]
         return self._image(_ONE_MINUS[mobius]).term_p(head)
 
     def _power_sum_p(self, mobius, one_minus):
@@ -253,23 +249,9 @@ class RootSums:
     sum_inv_one_minus_c_pow_p = _pth_power_sum(W)
     sum_cp_over_cm1_p = _pth_power_sum(W, one_minus=True)
     sum_pounds1 = _polylog_trace(1, C)
+    sum_pounds1_w = _polylog_trace(1, W)
     sum_pounds2_c = _polylog_trace(2, C)
     sum_pounds2_one_minus_c = _polylog_trace(2, ONE_MINUS_C)
-
-    @functools.cached_property
-    def sum_pounds1_short(self):
-        """Tr(pounds_1(c) w^p), w = 1/(1-c).
-
-        c^j = (1 - 1/w)^j gives Tr(c^j w^p) = sum_i C(j,i) (-1)^i P_(p-i)(w)
-        for j < n; f's recurrence continues the sequence in j.
-        """
-        n, p, m = self.n, self.p, self.m
-        w = self._image(W)
-        q = jump(w.chi, p - n + 1, m)
-        sums = w.sums(2 * n - 2)
-        tail = [_dot(q, sums[j:j + n], m) for j in range(n)]   # P_(p-n+1)..P_p(w)
-        head = _binomial_head(tail[::-1], n, m)
-        return pounds_from_traces(1, extend_recurrence(self.f.coeffs, head, p - 1, m), p, self.e)
 
     @functools.cached_property
     def sum_rkk_long(self):
@@ -434,9 +416,11 @@ def check_rkksuk(pt):
 
 
 def check_rkksuk_short(pt):
-    """Short-range sum against -sum pounds_1(c_i)/(1-c_i)^p mod p."""
+    """Short-range sum against -sum pounds_1(c_i)/(1-c_i)^p mod p, that is Tr pounds_1(w),
+    w = 1/(1-c): pounds_1(c) w^p == -pounds_1(w) by x^p pounds_1(1/x) == -pounds_1(x)
+    (fe_reciprocal_s1) at x = w, and pounds_1(1-x) == pounds_1(x) (fe_complement)."""
     lhs = pt.lhs(1, short_range(pt.r, pt.p), 1)
-    return [pt.report("rkksuk_short", 1, lhs, -pt.rs.sum_pounds1_short)]
+    return [pt.report("rkksuk_short", 1, lhs, pt.rs.sum_pounds1_w)]
 
 
 def check_rkk(pt):

@@ -8,10 +8,11 @@ element-level GaloisRing, whose arithmetic is _gfpoly's and not kernels',
 on random monic moduli that need not be squarefree, and the shortcuts the
 sequences take (P_p(1-u) from P_0(u)..P_p(u), reversals, Tr(1/(u-y)) from
 chi'/chi) to the image polynomials they replace.  They check that a sweep
-never builds a ring element, nor one image's power sums twice, that both
-sides of the bound agree, that the root sums do not depend on the order
-they are read in, and that every root sum a checker reads reduces from p^3
-to the value computed at p or p^2.
+never builds a ring element, nor one image's power sums twice, that
+rkksuk_short's polylog trace takes no jump, that both sides of the bound
+agree, that the root sums do not depend on the order they are read in, and
+that every root sum a checker reads reduces from p^3 to the value computed
+at p or p^2.
 """
 
 import operator
@@ -347,3 +348,25 @@ def test_rkk_builds_short_sequences_on_both_sides_of_the_bound(r, p, monkeypatch
     rows = theorems.point_rows(["rkk"], r, p, Fraction(2))
     assert [row.verdict for row in rows] == ["pass"] * min(r, 2)   # rkk_short needs r >= 2
     assert lengths and max(lengths) <= 2 * r, lengths
+
+
+@pytest.mark.parametrize("p", [11, 101, 10_007])
+@pytest.mark.parametrize("r", [1, 2, 6])
+def test_rkksuk_short_takes_no_jump_on_either_side_of_the_bound(r, p, monkeypatch):
+    # Tr pounds_1(w) weighs P_1(w)..P_(p-1)(w), one sequence of w to p at every prime
+    lengths = _sequence_lengths(monkeypatch)
+    counted, polys = theorems.power_sums, []
+
+    def recorded(poly, count, m):
+        polys.append(tuple(poly))
+        return counted(poly, count, m)
+
+    def no_jump(*args):
+        raise AssertionError("rkksuk_short took a jump")
+
+    monkeypatch.setattr(theorems, "power_sums", recorded)
+    monkeypatch.setattr(theorems, "jump", no_jump)
+    rows = theorems.point_rows(["rkksuk_short"], r, p, Fraction(2))
+    assert [row.verdict for row in rows] == ["pass"]
+    w_chi = tuple(theorems.root_sums(r, Fraction(2), p, 1)._image(theorems.W).chi)
+    assert polys == [w_chi] and lengths == [p + 1], (polys, lengths)

@@ -118,8 +118,7 @@ AGGREGATES = {
     "sum_inv_one_minus_c_pow_p": lambda R, c, r, p: (R.one() - c).inverse() ** p,
     "sum_cp_over_cm1_p": lambda R, c, r, p: c ** p * (c - R.one()).inverse() ** p,
     "sum_pounds1": lambda R, c, r, p: ring_pounds(1, c),
-    "sum_pounds1_short": lambda R, c, r, p: (
-        ring_pounds(1, c) * (R.one() - c).inverse() ** p),
+    "sum_pounds1_w": lambda R, c, r, p: ring_pounds(1, (R.one() - c).inverse()),
     "sum_pounds2_c": lambda R, c, r, p: ring_pounds(2, c),
     "sum_pounds2_one_minus_c": lambda R, c, r, p: ring_pounds(2, R.one() - c),
     "sum_rkk_long": lambda R, c, r, p: (
@@ -214,6 +213,24 @@ def test_root_sums_of_any_monic_polynomial_match_its_ring(modulus, bound):
         assert rs.z_inverse_pow_p_charpoly == R.charpoly(z_p).coeffs, (f, r, bound)
     finally:
         T.SEQUENCE_BOUND = saved
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([7, 11, 13, 31]), st.data())
+def test_short_range_polylog_trace_is_the_polylog_trace_of_w(p, data):
+    # rkksuk_short's right side -sum pounds_1(c)/(1-c)^p is Tr pounds_1(w),
+    # w = 1/(1-c), mod p: x^p pounds_1(1/x) == -pounds_1(x) and
+    # pounds_1(1-x) == pounds_1(x) hold as polynomial identities mod p
+    ctx = ModulusCtx(p, 1)
+    n = data.draw(st.integers(1, 6))
+    coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
+    f = MonicPoly(tuple(coeffs) + (1,), ctx)
+    assume(f.evaluate(1) % p)
+    R = GaloisRing(f)
+    w = (R.one() - R.gen()).inverse()
+    paper = -int((ring_pounds(1, R.gen()) * w ** p).trace()) % p
+    assert paper == int(ring_pounds(1, w).trace()) % p, f
+    assert T.RootSums(f, 1).sum_pounds1_w == paper, f
 
 
 @pytest.mark.parametrize("e", [1, 2, 3])

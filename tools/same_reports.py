@@ -44,6 +44,10 @@ SWEEPS = {
                        "--format", "csv"),
     "multiple_10000_10100": ("--theorems", "rkkmod2_multiple", *R_2_TO_10,
                              "--primes", "10000..10100", "--format", "csv"),
+    # the polylog traces above the bound
+    "short_10000_10100": ("--theorems", "rkksuk,rkksuk_short", *R_1_TO_6,
+                          "--primes", "10000..10100", "--x-random", "2", "--x", "2,-1/3",
+                          "--format", "csv"),
 }
 
 
